@@ -19,6 +19,7 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +35,7 @@ from .derivation import (
     scalar_multiple_semisimple,
 )
 from .kernel import brute_force_kernel, kernel_generators_localized, kernel_in_B
-from .laurent import LaurentPoly, ParseError, RingCtx, parse
+from .laurent import LaurentPoly, ParseError, RingCtx, _accumulate, parse
 from .slices import build_slice
 
 EXIT_OK = 0
@@ -222,10 +223,10 @@ def _leibniz_samples(problem: Problem) -> list[LaurentPoly]:
     if len(problem.queries) >= 2:
         return list(problem.queries)
     variables = [LaurentPoly.variable(problem.ctx, i) for i in range(problem.ctx.n)]
-    total = variables[0]
-    for v in variables[1:]:
-        total = total + v
-    return variables + [total]
+    total: dict[tuple[int, ...], Fraction] = {}
+    for v in variables:
+        _accumulate(total, v.terms.items())
+    return variables + [LaurentPoly._trusted(problem.ctx, total)]
 
 
 def cmd_check(problem: Problem, law: str, bound: int | None, expr: str | None) -> Report:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .laurent import LaurentPoly, RingCtx
+from .laurent import LaurentPoly, RingCtx, _accumulate
 
 
 @dataclass
@@ -32,10 +32,12 @@ class WeightDecomposition:
         return tuple(self.components)
 
     def recombine(self, ctx: RingCtx) -> LaurentPoly:
-        total = LaurentPoly.zero(ctx)
+        total: dict[tuple[int, ...], Fraction] = {}
         for component in self.components.values():
-            total = total + component
-        return total
+            if component.ctx != ctx:
+                raise ValueError("context mismatch")
+            _accumulate(total, component.terms.items())
+        return LaurentPoly._trusted(ctx, total)
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,11 @@ class DiagonalDerivation:
             raise ValueError("context mismatch")
 
     def apply(self, p: LaurentPoly) -> LaurentPoly:
-        """Each term c*x^a maps to <a, weights> * c * x^a."""
+        """Each term c*x^a maps to <a, weights> * c * x^a; weight-0 terms vanish."""
         self._require_ctx(p)
-        return LaurentPoly(p.ctx, {e: c * self.term_weight(e) for e, c in p.terms.items()})
+        return LaurentPoly._trusted(
+            p.ctx, {e: c * w for e, c in p.terms.items() if (w := self.term_weight(e))}
+        )
 
     def weight_decompose(self, p: LaurentPoly) -> WeightDecomposition:
         """Group the terms of p by weight; the components are eigenvectors."""
@@ -73,7 +77,7 @@ class DiagonalDerivation:
         for exps, coeff in p.terms.items():
             buckets.setdefault(self.term_weight(exps), {})[exps] = coeff
         return WeightDecomposition(
-            {w: LaurentPoly(p.ctx, terms) for w, terms in sorted(buckets.items())}
+            {w: LaurentPoly._trusted(p.ctx, terms) for w, terms in sorted(buckets.items())}
         )
 
     def semi_invariant_weight(self, p: LaurentPoly) -> int | None:
@@ -94,10 +98,10 @@ class DiagonalDerivation:
         decomposition = self.weight_decompose(p)
         if 0 in decomposition.components:
             return False, None
-        preimage = LaurentPoly.zero(p.ctx)
+        preimage: dict[tuple[int, ...], Fraction] = {}
         for w, component in decomposition.components.items():
-            preimage = preimage + component * Fraction(1, w)
-        return True, preimage
+            _accumulate(preimage, component.terms.items(), Fraction(1, w))
+        return True, LaurentPoly._trusted(p.ctx, preimage)
 
     def __add__(self, other: "DiagonalDerivation") -> "DiagonalDerivation":
         if not isinstance(other, DiagonalDerivation):
@@ -133,11 +137,11 @@ class GeneralDerivation:
         """sum_i images[i] * dp/dx_i, valid for all integer exponents."""
         if p.ctx != self.ctx:
             raise ValueError("context mismatch")
-        total = LaurentPoly.zero(self.ctx)
+        total: dict[tuple[int, ...], Fraction] = {}
         for i, image in enumerate(self.images):
             if not image.is_zero():
-                total = total + image * p.partial(i)
-        return total
+                _accumulate(total, (image * p.partial(i)).terms.items())
+        return LaurentPoly._trusted(self.ctx, total)
 
 
 Derivation = Union[DiagonalDerivation, GeneralDerivation]
@@ -239,19 +243,18 @@ class _RowSpace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def add(self, p: LaurentPoly) -> bool:
-        """Reduce p against the space; returns True when the dimension grew."""
+    def _reduce(self, p: LaurentPoly) -> dict[tuple[int, ...], Fraction]:
+        """The remainder of p after elimination against every stored row."""
         vec = dict(p.terms)
         for pivot, row in self.rows:
             c = vec.get(pivot)
-            if not c:
-                continue
-            for key, value in row.items():
-                updated = vec.get(key, Fraction(0)) - c * value
-                if updated:
-                    vec[key] = updated
-                else:
-                    vec.pop(key, None)
+            if c:
+                _accumulate(vec, row.items(), -c)
+        return vec
+
+    def add(self, p: LaurentPoly) -> bool:
+        """Reduce p against the space; returns True when the dimension grew."""
+        vec = self._reduce(p)
         if not vec:
             return False
         pivot = max(vec)
@@ -260,18 +263,7 @@ class _RowSpace:
         return True
 
     def contains(self, p: LaurentPoly) -> bool:
-        vec = dict(p.terms)
-        for pivot, row in self.rows:
-            c = vec.get(pivot)
-            if not c:
-                continue
-            for key, value in row.items():
-                updated = vec.get(key, Fraction(0)) - c * value
-                if updated:
-                    vec[key] = updated
-                else:
-                    vec.pop(key, None)
-        return not vec
+        return not self._reduce(p)
 
 
 def _monomial_chain_shift(chain: Sequence[LaurentPoly]) -> tuple[int, ...] | None:

@@ -11,13 +11,14 @@ brute-force enumeration of that monoid serves as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .derivation import DiagonalDerivation
-from .laurent import LaurentPoly, RingCtx
+from .laurent import LaurentPoly, RingCtx, _accumulate
 from .slices import verify_slice
 
 
@@ -66,6 +67,13 @@ def _require_slice(d: DiagonalDerivation, s: LaurentPoly) -> None:
         raise ValueError("s is not a slice: need a single monomial with D(s) = s")
 
 
+def _u_images(d: DiagonalDerivation, s: LaurentPoly) -> tuple[LaurentPoly, ...]:
+    """The kernel generators u_i = x_i * s^(-w_i) as elements of d.ctx."""
+    return tuple(
+        LaurentPoly.variable(d.ctx, i) * s ** (-d.weights[i]) for i in range(d.ctx.n)
+    )
+
+
 def kernel_generators_localized(
     d: DiagonalDerivation,
     s: LaurentPoly,
@@ -73,10 +81,7 @@ def kernel_generators_localized(
 ) -> KernelGenerators:
     """Kernel generators of the localization at the slice monomial s."""
     _require_slice(d, s)
-    u = tuple(
-        LaurentPoly.variable(d.ctx, i) * s ** (-d.weights[i]) for i in range(d.ctx.n)
-    )
-    return KernelGenerators(u=u, s=s, uctx=_default_uctx(d.ctx.n, unames))
+    return KernelGenerators(u=_u_images(d, s), s=s, uctx=_default_uctx(d.ctx.n, unames))
 
 
 def slice_coordinates(
@@ -93,7 +98,7 @@ def slice_coordinates(
     _require_slice(d, s)
     uctx = _default_uctx(d.ctx.n, unames)
     components = {
-        w: LaurentPoly(uctx, dict(component.terms))
+        w: LaurentPoly._trusted(uctx, dict(component.terms))
         for w, component in d.weight_decompose(p).components.items()
     }
     return SliceCoordinates(uctx=uctx, components=components)
@@ -103,13 +108,11 @@ def reconstruct_from_slice_coordinates(
     d: DiagonalDerivation, s: LaurentPoly, coords: SliceCoordinates
 ) -> LaurentPoly:
     """Inverse of slice_coordinates: substitute u_i -> x_i * s^(-w_i)."""
-    u_images = [
-        LaurentPoly.variable(d.ctx, i) * s ** (-d.weights[i]) for i in range(d.ctx.n)
-    ]
-    total = LaurentPoly.zero(d.ctx)
+    u_images = _u_images(d, s)
+    total: dict[tuple[int, ...], Fraction] = {}
     for w, component in coords.components.items():
-        total = total + component.substitute(u_images) * s**w
-    return total
+        _accumulate(total, (component.substitute(u_images) * s**w).terms.items())
+    return LaurentPoly._trusted(d.ctx, total)
 
 
 def kernel_membership_localized(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -56,13 +57,48 @@ class RingCtx:
         return "Q[" + ", ".join(f"{v}^+-1" for v in self.names) + "]"
 
 
+def _check_index(ctx: RingCtx, i: int) -> int:
+    if not 0 <= i < ctx.n:
+        raise ValueError(f"variable index {i} out of range for {ctx.n} variables")
+    return i
+
+
+def _accumulate(acc: dict, terms, scale=None) -> None:
+    """Add `scale` times each (exponents, coefficient) pair of `terms` into
+    `acc`, in place, dropping keys whose coefficients cancel.
+
+    `acc` must be a dict the caller owns, never the `terms` of a
+    polynomial; `scale`, when given, must be nonzero.  This is the package's
+    one term-merge loop: sums, products, substitution, the parser and
+    Gaussian reduction all run through it.
+    """
+    get = acc.get
+    for key, coeff in terms:
+        if scale is not None:
+            coeff = coeff * scale
+        old = get(key)
+        if old is None:
+            acc[key] = coeff
+        else:
+            coeff = old + coeff
+            if coeff:
+                acc[key] = coeff
+            else:
+                del acc[key]
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial.
 
-    `terms` maps exponent tuples of length ctx.n to nonzero Fractions; the
-    zero polynomial has an empty map.  Do not mutate `terms` after
-    construction; all operations return fresh values, so sharing across
-    threads is safe.
+    Invariant of `terms`: every key is a tuple of exactly ctx.n `int`
+    exponents, every value is a nonzero `Fraction`, and the zero polynomial
+    has an empty map.  The dict is never mutated after construction; all
+    operations return fresh values, so sharing across threads is safe.
+
+    The public constructor establishes the invariant from arbitrary input.
+    `_trusted` wraps a dict as it is and is for internal results only: its
+    callers must uphold the invariant and hand over a dict nothing else
+    holds.
     """
 
     __slots__ = ("ctx", "terms")
@@ -86,6 +122,14 @@ class LaurentPoly:
     # constructors
 
     @classmethod
+    def _trusted(cls, ctx: RingCtx, terms: dict[tuple[int, ...], Fraction]) -> "LaurentPoly":
+        """Wrap `terms` without validation; see the class docstring."""
+        poly = object.__new__(cls)
+        poly.ctx = ctx
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, ctx: RingCtx) -> "LaurentPoly":
         return cls(ctx)
 
@@ -95,9 +139,9 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, ctx: RingCtx, which: int | str) -> "LaurentPoly":
-        i = ctx.index(which) if isinstance(which, str) else which
+        i = ctx.index(which) if isinstance(which, str) else _check_index(ctx, which)
         exps = tuple(1 if j == i else 0 for j in range(ctx.n))
-        return cls(ctx, {exps: 1})
+        return cls._trusted(ctx, {exps: Fraction(1)})
 
     @classmethod
     def monomial(cls, ctx: RingCtx, exps: Sequence[int], coeff=1) -> "LaurentPoly":
@@ -144,12 +188,11 @@ class LaurentPoly:
             return NotImplemented
         self._require_same_ctx(other)
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return LaurentPoly(self.ctx, terms)
+        _accumulate(terms, other.terms.items())
+        return LaurentPoly._trusted(self.ctx, terms)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -160,14 +203,15 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             self._require_same_ctx(other)
             terms: dict[tuple[int, ...], Fraction] = {}
+            rhs = other.terms.items()
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return LaurentPoly(self.ctx, terms)
+                _accumulate(terms, ((tuple(map(add, e1, e2)), c2) for e2, c2 in rhs), c1)
+            return LaurentPoly._trusted(self.ctx, terms)
         if isinstance(other, (int, Fraction)):
             scalar = Fraction(other)
-            return LaurentPoly(self.ctx, {e: c * scalar for e, c in self.terms.items()})
+            if not scalar:
+                return LaurentPoly.zero(self.ctx)
+            return LaurentPoly._trusted(self.ctx, {e: c * scalar for e, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other) -> "LaurentPoly":
@@ -179,7 +223,7 @@ class LaurentPoly:
         if self.is_monomial():
             # units: c*x^a -> c^m * x^(m*a) for every integer m
             exps, coeff = next(iter(self.terms.items()))
-            return LaurentPoly(self.ctx, {tuple(e * power for e in exps): coeff**power})
+            return LaurentPoly._trusted(self.ctx, {tuple(e * power for e in exps): coeff**power})
         if power < 0:
             raise ValueError("not a unit")
         result = LaurentPoly.constant(self.ctx, 1)
@@ -188,8 +232,9 @@ class LaurentPoly:
         while m:
             if m & 1:
                 result = result * base
-            base = base * base
             m >>= 1
+            if m:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -205,6 +250,7 @@ class LaurentPoly:
 
     def partial(self, i: int) -> "LaurentPoly":
         """Formal partial derivative: x_i^m -> m * x_i^(m-1) for every integer m."""
+        _check_index(self.ctx, i)
         terms = {}
         for exps, coeff in self.terms.items():
             e = exps[i]
@@ -212,7 +258,7 @@ class LaurentPoly:
                 continue
             key = exps[:i] + (e - 1,) + exps[i + 1 :]
             terms[key] = coeff * e
-        return LaurentPoly(self.ctx, terms)
+        return LaurentPoly._trusted(self.ctx, terms)
 
     def substitute(self, images: Sequence["LaurentPoly"]) -> "LaurentPoly":
         """Ring-homomorphism evaluation x_i -> images[i].
@@ -226,14 +272,15 @@ class LaurentPoly:
         for img in images:
             if img.ctx != target:
                 raise ValueError("context mismatch")
-        total = LaurentPoly.zero(target)
+        total: dict[tuple[int, ...], Fraction] = {}
+        one = ((0,) * target.n, Fraction(1))
         for exps, coeff in self.terms.items():
-            term = LaurentPoly.constant(target, coeff)
+            term = None
             for img, e in zip(images, exps):
                 if e:
-                    term = term * img**e
-            total = total + term
-        return total
+                    term = img**e if term is None else term * img**e
+            _accumulate(total, [one] if term is None else term.terms.items(), coeff)
+        return LaurentPoly._trusted(target, total)
 
     # ------------------------------------------------------------------
     # printing
@@ -351,18 +398,16 @@ class _Parser:
         return poly
 
     def expr(self) -> LaurentPoly:
-        negate = False
+        total: dict[tuple[int, ...], Fraction] = {}
+        sign = None
         if self.peek().kind == "-":
             self.advance()
-            negate = True
-        poly = self.term()
-        if negate:
-            poly = -poly
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            poly = poly + rhs if op.kind == "+" else poly - rhs
-        return poly
+            sign = -1
+        while True:
+            _accumulate(total, self.term().terms.items(), sign)
+            if self.peek().kind not in ("+", "-"):
+                return LaurentPoly._trusted(self.ctx, total)
+            sign = -1 if self.advance().kind == "-" else None
 
     def term(self) -> LaurentPoly:
         poly = self.factor()

@@ -33,6 +33,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="length"):
             LaurentPoly(CTX_XY, {(1,): 1})
 
+    def test_variable_index_out_of_range(self):
+        assert LaurentPoly.variable(CTX_XY, 1) == LaurentPoly.variable(CTX_XY, "y")
+        for bad in (2, 5, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                LaurentPoly.variable(CTX_XY, bad)
+
+    def test_partial_index_out_of_range(self):
+        p = parse("x*y^2", CTX_XY)
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                p.partial(bad)
+
 
 class TestArithmetic:
     def test_product_of_conjugates(self):
