@@ -188,35 +188,30 @@ def _parse_uvars(uvars: str | None) -> list[str] | None:
     return [name for name in re.split(r"[,\s]+", uvars.strip()) if name]
 
 
-def cmd_kernel(problem: Problem, mode: str, degree: int | None, uvars: str | None) -> Report:
+def cmd_kernel_localized(problem: Problem, uvars: str | None) -> Report:
     d = problem.diagonal
-    if mode == "localized":
-        data = build_slice(d)
-        if data.g != 1:
-            raise InputError(
-                f"no slice exists: gcd of weights is {data.g}, localized kernel needs D(s) = s"
-            )
-        generators = kernel_generators_localized(d, data.s, _parse_uvars(uvars))
-        report = Report(command="kernel --localized")
-        report.lines.append(f"s: {data.s}")
-        for name, u in zip(generators.uctx.names, generators.u):
-            report.lines.append(f"{name} = {u}")
-        return report
-    if mode == "in-B":
-        report = Report(command="kernel --in-B")
-        generators = kernel_in_B(d)
-        if generators:
-            report.lines.extend(str(g) for g in generators)
-        else:
-            report.lines.append("(constants only)")
-        return report
-    if mode == "brute":
-        assert degree is not None
-        report = Report(command=f"kernel --brute {degree}")
-        for exps in brute_force_kernel(d, degree):
-            report.lines.append(str(LaurentPoly.monomial(problem.ctx, exps)))
-        return report
-    raise AssertionError(f"unknown kernel mode {mode!r}")
+    data = build_slice(d)
+    if data.g != 1:
+        raise InputError(
+            f"no slice exists: gcd of weights is {data.g}, localized kernel needs D(s) = s"
+        )
+    generators = kernel_generators_localized(d, data.s, _parse_uvars(uvars))
+    report = Report(command="kernel --localized")
+    report.lines.append(f"s: {data.s}")
+    for name, u in zip(generators.uctx.names, generators.u):
+        report.lines.append(f"{name} = {u}")
+    return report
+
+
+def cmd_kernel_in_b(problem: Problem) -> Report:
+    lines = [str(g) for g in kernel_in_B(problem.diagonal)] or ["(constants only)"]
+    return Report(command="kernel --in-B", lines=lines)
+
+
+def cmd_kernel_brute(problem: Problem, degree: int) -> Report:
+    exponents = brute_force_kernel(problem.diagonal, degree)
+    lines = [str(LaurentPoly.monomial(problem.ctx, exps)) for exps in exponents]
+    return Report(command=f"kernel --brute {degree}", lines=lines)
 
 
 def _leibniz_samples(problem: Problem) -> list[LaurentPoly]:
@@ -335,10 +330,10 @@ def _dispatch(args: argparse.Namespace) -> Report:
         return cmd_slice(problem)
     if args.cmd == "kernel":
         if args.brute is not None:
-            return cmd_kernel(problem, "brute", args.brute, args.uvars)
+            return cmd_kernel_brute(problem, args.brute)
         if args.localized:
-            return cmd_kernel(problem, "localized", None, args.uvars)
-        return cmd_kernel(problem, "in-B", None, args.uvars)
+            return cmd_kernel_localized(problem, args.uvars)
+        return cmd_kernel_in_b(problem)
     if args.cmd == "check":
         return cmd_check(problem, args.law, args.bound, args.expr)
     raise AssertionError(f"unknown command {args.cmd!r}")

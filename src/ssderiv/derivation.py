@@ -11,9 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .laurent import LaurentPoly, RingCtx, _accumulate
+
+
+def _dot(exps: Sequence[int], weights: Sequence[int]) -> int:
+    """The weight <exps, weights> of a monomial."""
+    return sum(map(mul, exps, weights))
 
 
 @dataclass
@@ -57,7 +63,7 @@ class DiagonalDerivation:
         return not any(self.weights)
 
     def term_weight(self, exps: Sequence[int]) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+        return _dot(exps, self.weights)
 
     def _require_ctx(self, p: LaurentPoly) -> None:
         if p.ctx != self.ctx:

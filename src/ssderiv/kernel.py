@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .derivation import DiagonalDerivation
+from .derivation import DiagonalDerivation, _dot
 from .laurent import LaurentPoly, RingCtx, _accumulate
 from .slices import verify_slice
 
@@ -136,10 +136,6 @@ def fraction_kernel_element(
 
 # ----------------------------------------------------------------------
 # the weight-zero monoid in the polynomial ring
-
-
-def _dot(exps: Sequence[int], weights: Sequence[int]) -> int:
-    return sum(e * w for e, w in zip(exps, weights))
 
 
 def _dominates(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
@@ -288,27 +289,23 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        rendered = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.ctx.names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            magnitude = abs(coeff)
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
-            else:
-                body = str(magnitude) + "*" + "*".join(factors)
-            rendered.append(("-" if coeff < 0 else "+", body))
-        sign, body = rendered[0]
-        out = ("-" + body) if sign == "-" else body
-        for sign, body in rendered[1:]:
-            out += f" {sign} {body}"
-        return out
+        names = self.ctx.names
+        out = []
+        for exps, coeff in sorted(self.terms.items(), reverse=True):
+            num, den = coeff.numerator, coeff.denominator
+            if num < 0:
+                out.append(" - " if out else "-")
+                num = -num
+            elif out:
+                out.append(" + ")
+            factors = "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e])
+            if factors and num == 1 and den == 1:
+                out.append(factors)
+                continue
+            out.append(str(num) if den == 1 else f"{num}/{den}")
+            if factors:
+                out.append("*" + factors)
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
@@ -317,150 +314,147 @@ class LaurentPoly:
 # ----------------------------------------------------------------------
 # parsing
 #
-#   expr   := ['-'] term (('+'|'-') term)*
-#   term   := factor ('*' factor)*
-#   factor := base ('^' signed_int)?
-#   base   := rational | variable | '(' expr ')'
+#   expr     := ['-'] term (('+'|'-') term)*
+#   term     := factor ('*' factor)*
+#   factor   := base ('^' signed_int)?
+#   base     := rational | variable | '(' expr ')'
 #   rational := int ('/' posint)?
+#
+# Input is ASCII: an int is [0-9]+, a variable [A-Za-z_][A-Za-z_0-9]*, and
+# any other character that is not whitespace is an error.  Parentheses nest
+# at most MAX_NESTING levels deep.  A term is built as one exponent vector
+# and one coefficient; only a parenthesised factor uses polynomial * and **.
+
+MAX_NESTING = 200
+
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
+_BAD_CHAR_RE = re.compile(r"[^0-9A-Za-z_+\-*/^()\s]")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "name", one of "+-*/^()", or "end"
-    text: str
-    line: int
-    col: int
+def _fail(message: str, text: str, offset: int) -> None:
+    line = text.count("\n", 0, offset) + 1
+    raise ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "end of input", line, col))
-    return tokens
+def _shown(token: str) -> str:
+    return repr(token or "end of input")
 
 
 class _Parser:
+    """Recursive descent over the token strings; "" marks the end.  A
+    token's offset is found again by rescanning, only to report an error."""
+
     def __init__(self, text: str, ctx: RingCtx):
-        self.tokens = _tokenize(text)
+        bad = _BAD_CHAR_RE.search(text)
+        if bad:
+            _fail(f"unexpected character {bad.group()!r}", text, bad.start())
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text) + [""]
         self.pos = 0
         self.ctx = ctx
+        self.index = {name: i for i, name in enumerate(ctx.names)}
+        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    @staticmethod
-    def fail(message: str, token: _Token) -> None:
-        raise ParseError(message, token.line, token.col)
+    def fail(self, message: str, at: int) -> None:
+        match = next(islice(_TOKEN_RE.finditer(self.text), at, None), None)
+        _fail(message, self.text, len(self.text) if match is None else match.start())
 
     def run(self) -> LaurentPoly:
         poly = self.expr()
-        token = self.peek()
-        if token.kind != "end":
-            self.fail(f"unexpected {token.text!r}", token)
+        if self.tokens[self.pos]:
+            self.fail(f"unexpected {_shown(self.tokens[self.pos])}", self.pos)
         return poly
 
     def expr(self) -> LaurentPoly:
         total: dict[tuple[int, ...], Fraction] = {}
-        sign = None
-        if self.peek().kind == "-":
-            self.advance()
-            sign = -1
+        negate = self.tokens[self.pos] == "-"
+        if negate:
+            self.pos += 1
         while True:
-            _accumulate(total, self.term().terms.items(), sign)
-            if self.peek().kind not in ("+", "-"):
+            self.term(total, negate)
+            token = self.tokens[self.pos]
+            if token != "+" and token != "-":
                 return LaurentPoly._trusted(self.ctx, total)
-            sign = -1 if self.advance().kind == "-" else None
+            negate = token == "-"
+            self.pos += 1
 
-    def term(self) -> LaurentPoly:
-        poly = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            poly = poly * self.factor()
-        return poly
+    def term(self, total: dict, negate: bool) -> None:
+        """Parse one product and add it, negated if asked, into `total`."""
+        tokens = self.tokens
+        exps = [0] * self.ctx.n
+        num = den = 1  # the coefficient, normalised once at the end
+        poly = None
+        while True:
+            token = tokens[self.pos]
+            self.pos += 1
+            i = self.index.get(token)
+            if i is not None:
+                exps[i] += self.exponent() if tokens[self.pos] == "^" else 1
+            elif token.isdigit():
+                p, q = int(token), 1
+                if tokens[self.pos] == "/":
+                    self.pos += 2
+                    if not tokens[self.pos - 1].isdigit():
+                        self.fail("expected an integer denominator", self.pos - 1)
+                    q = int(tokens[self.pos - 1])
+                    if not q:
+                        self.fail("denominator must be positive", self.pos - 1)
+                if tokens[self.pos] == "^":
+                    k = self.exponent()
+                    if k < 0:
+                        if not p:
+                            raise ValueError("not a unit")
+                        p, q, k = q, p, -k
+                    p, q = p**k, q**k
+                num *= p
+                den *= q
+            elif token == "(":
+                self.depth += 1
+                if self.depth > MAX_NESTING:
+                    self.fail(f"parentheses nested more than {MAX_NESTING} deep", self.pos - 1)
+                factor = self.expr()
+                self.depth -= 1
+                self.pos += 1
+                if tokens[self.pos - 1] != ")":
+                    self.fail("expected ')'", self.pos - 1)
+                if tokens[self.pos] == "^":
+                    factor = factor ** self.exponent()
+                poly = factor if poly is None else poly * factor
+            elif token.isidentifier():
+                self.fail(f"unknown variable '{token}'", self.pos - 1)
+            else:
+                found = _shown(token)
+                self.fail(f"expected a number, a variable or '(' but found {found}", self.pos - 1)
+            if tokens[self.pos] != "*":
+                break
+            self.pos += 1
+        if not num:
+            return
+        scale = Fraction(-num if negate else num, den)
+        key = tuple(exps)
+        if poly is None:
+            _accumulate(total, ((key, scale),))
+        else:
+            _accumulate(total, ((tuple(map(add, e, key)), c) for e, c in poly.terms.items()), scale)
 
-    def factor(self) -> LaurentPoly:
-        poly = self.base()
-        if self.peek().kind == "^":
-            self.advance()
-            poly = poly ** self.signed_int()
-        return poly
-
-    def base(self) -> LaurentPoly:
-        token = self.advance()
-        if token.kind == "int":
-            numerator = int(token.text)
-            if self.peek().kind == "/":
-                self.advance()
-                den_token = self.advance()
-                if den_token.kind != "int":
-                    self.fail("expected an integer denominator", den_token)
-                denominator = int(den_token.text)
-                if denominator == 0:
-                    self.fail("denominator must be positive", den_token)
-                return LaurentPoly.constant(self.ctx, Fraction(numerator, denominator))
-            return LaurentPoly.constant(self.ctx, numerator)
-        if token.kind == "name":
-            if token.text not in self.ctx.names:
-                self.fail(f"unknown variable '{token.text}'", token)
-            return LaurentPoly.variable(self.ctx, token.text)
-        if token.kind == "(":
-            poly = self.expr()
-            closing = self.advance()
-            if closing.kind != ")":
-                self.fail("expected ')'", closing)
-            return poly
-        self.fail(f"expected a number, a variable or '(' but found {token.text!r}", token)
-        raise AssertionError("unreachable")
-
-    def signed_int(self) -> int:
-        sign = 1
-        token = self.advance()
-        if token.kind in ("+", "-"):
-            sign = -1 if token.kind == "-" else 1
-            token = self.advance()
-        if token.kind != "int":
-            self.fail(f"expected an integer exponent but found {token.text!r}", token)
-        return sign * int(token.text)
+    def exponent(self) -> int:
+        """Consume '^' and a signed integer."""
+        self.pos += 2
+        sign = self.tokens[self.pos - 1]
+        if sign == "+" or sign == "-":
+            self.pos += 1
+        token = self.tokens[self.pos - 1]
+        if not token.isdigit():
+            self.fail(f"expected an integer exponent but found {_shown(token)}", self.pos - 1)
+        return -int(token) if sign == "-" else int(token)
 
 
 def parse(text: str, ctx: RingCtx) -> LaurentPoly:
-    """Parse an ASCII expression, e.g. "3*x^2*y^-1 - 1/2", over ctx."""
+    """Parse an ASCII expression, e.g. "3*x^2*y^-1 - 1/2", over ctx.
+
+    Raises ParseError, with line and column, for a syntax error, a non-ASCII
+    character, an unknown variable or parentheses nested more than
+    MAX_NESTING (200) levels deep, and ValueError("not a unit") for a
+    negative power of a non-monomial.
+    """
     return _Parser(text, ctx).run()

@@ -250,6 +250,19 @@ class TestProblemFile:
         assert code == 2
         assert ":3:" in err
 
+    def test_deep_nesting_is_input_error(self, tmp_path):
+        deep = "(" * 600 + "x" + ")" * 600
+        path = problem(tmp_path, f"vars: x y\nweights: 1 -1\nquery: {deep}\n")
+        code, out, err = run_cli("decompose", "--file", path)
+        assert code == 2 and out == ""
+        assert f"{path}:3: parentheses nested more than 200 deep" in err
+
+    def test_deep_nesting_in_expr_flag_is_input_error(self, hyperbolic):
+        deep = "(" * 2000 + "x" + ")" * 2000
+        code, out, err = run_cli("decompose", "--file", hyperbolic, "--expr", deep)
+        assert code == 2 and out == ""
+        assert err.startswith("error: parentheses nested more than 200 deep")
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = problem(tmp_path, "# a fixture\n\nvars: x y\nweights: 1 -1\n")
         code, _, _ = run_cli("slice", "--file", path)

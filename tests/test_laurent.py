@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ssderiv import LaurentPoly, ParseError, RingCtx, parse
+from ssderiv.laurent import MAX_NESTING
 
 from helpers import CTX_XY, CTX_XYZ, monomials, polys, random_poly
 
@@ -111,6 +113,116 @@ class TestParse:
             parse("x/2", CTX_XY)
 
 
+# Malformed inputs with the exception each one raises: (text, message, line,
+# column), where line and column are None for the ValueError of a negative
+# power of a non-unit and the message of a ParseError is followed by its
+# position.  Evaluation runs left to right, so of two faults the first one
+# wins, except that an unexpected character anywhere is reported first.
+ERROR_TABLE = [
+    ("x $ y", "unexpected character '$'", 1, 3),
+    ("x @", "unexpected character '@'", 1, 3),
+    ("x +\n  y ! 2", "unexpected character '!'", 2, 5),
+    ("3 # comment", "unexpected character '#'", 1, 3),
+    ("x^2.5", "unexpected character '.'", 1, 4),
+    ("x y", "unexpected 'y'", 1, 3),
+    ("x/2", "unexpected '/'", 1, 2),
+    ("x + y)", "unexpected ')'", 1, 6),
+    ("(x)(y)", "unexpected '('", 1, 4),
+    ("2 3", "unexpected '3'", 1, 3),
+    ("x^2^3", "unexpected '^'", 1, 4),
+    ("1/2/3", "unexpected '/'", 1, 4),
+    ("", "expected a number, a variable or '(' but found 'end of input'", 1, 1),
+    ("   ", "expected a number, a variable or '(' but found 'end of input'", 1, 4),
+    ("x +", "expected a number, a variable or '(' but found 'end of input'", 1, 4),
+    ("x + -y", "expected a number, a variable or '(' but found '-'", 1, 5),
+    ("x * * y", "expected a number, a variable or '(' but found '*'", 1, 5),
+    ("*x", "expected a number, a variable or '(' but found '*'", 1, 1),
+    ("x^", "expected an integer exponent but found 'end of input'", 1, 3),
+    ("x^-", "expected an integer exponent but found 'end of input'", 1, 4),
+    ("x^^2", "expected an integer exponent but found '^'", 1, 3),
+    ("x^--2", "expected an integer exponent but found '-'", 1, 4),
+    ("x^y", "expected an integer exponent but found 'y'", 1, 3),
+    ("x^(2)", "expected an integer exponent but found '('", 1, 3),
+    ("x^+", "expected an integer exponent but found 'end of input'", 1, 4),
+    ("()", "expected a number, a variable or '(' but found ')'", 1, 2),
+    ("1/", "expected an integer denominator", 1, 3),
+    ("1/x", "expected an integer denominator", 1, 3),
+    ("1/-2", "expected an integer denominator", 1, 3),
+    ("1/(2)", "expected an integer denominator", 1, 3),
+    ("1/0", "denominator must be positive", 1, 3),
+    ("3/00", "denominator must be positive", 1, 3),
+    ("(x + y", "expected ')'", 1, 7),
+    ("((x)", "expected ')'", 1, 5),
+    ("(x + y]", "unexpected character ']'", 1, 7),
+    ("(x y)", "expected ')'", 1, 4),
+    ("q", "unknown variable 'q'", 1, 1),
+    ("x*w", "unknown variable 'w'", 1, 3),
+    ("x + Y", "unknown variable 'Y'", 1, 5),
+    ("2*x1", "unknown variable 'x1'", 1, 3),
+    ("x +\n  y q", "unexpected 'q'", 2, 5),
+    ("x\n\n   *\n)", "expected a number, a variable or '(' but found ')'", 4, 1),
+    ("\n\n(x +\n y", "expected ')'", 4, 3),
+    ("x\t+ $", "unexpected character '$'", 1, 5),
+    ("(x+y)^-1", "not a unit", None, None),
+    ("0^-1", "not a unit", None, None),
+    ("(0)^-1", "not a unit", None, None),
+    ("(x-x)^-2", "not a unit", None, None),
+    ("z*(x+y)^-1 + q", "not a unit", None, None),
+    ("(x+y)^-1 + q", "not a unit", None, None),
+    ("q + (x+y)^-1", "unknown variable 'q'", 1, 1),
+    ("0^-1 $", "unexpected character '$'", 1, 6),
+    ("(x+y)^-1 y", "not a unit", None, None),
+    ("-", "expected a number, a variable or '(' but found 'end of input'", 1, 2),
+    ("- + x", "expected a number, a variable or '(' but found '+'", 1, 3),
+    ("--x", "expected a number, a variable or '(' but found '-'", 1, 2),
+    ("0/5^-1", "not a unit", None, None),
+    ("x^-1*(y + 1)^-2", "not a unit", None, None),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", ERROR_TABLE)
+def test_error_table(text, message, line, col):
+    if line is None:
+        with pytest.raises(ValueError) as info:
+            parse(text, CTX_XYZ)
+        assert type(info.value) is ValueError and str(info.value) == message
+    else:
+        with pytest.raises(ParseError) as info:
+            parse(text, CTX_XYZ)
+        assert str(info.value) == f"{message} (line {line}, column {col})"
+        assert (info.value.line, info.value.col) == (line, col)
+
+
+class TestParseLimits:
+    @pytest.mark.parametrize(
+        "text, col",
+        [("x^\u00b2", 3), ("x^\u0663", 3), ("\u0663*x", 1), ("x\u00b2", 2), ("\u00e9", 1)],
+    )
+    def test_only_ascii_digits_and_names(self, text, col):
+        # a superscript two and an Arabic-Indic three are digits to str.isdigit
+        with pytest.raises(ParseError) as info:
+            parse(text, CTX_XYZ)
+        assert str(info.value) == f"unexpected character {text[col - 1]!r} (line 1, column {col})"
+
+    def test_unicode_whitespace_still_separates(self):
+        assert parse("x\u00a0+\ty", CTX_XYZ) == parse("x + y", CTX_XYZ)
+
+    def test_deep_nesting_fails_fast(self):
+        depth = 10_000
+        with pytest.raises(ParseError) as info:
+            parse("(" * depth + "x" + ")" * depth, CTX_XYZ)
+        column = MAX_NESTING + 1
+        assert str(info.value) == (
+            f"parentheses nested more than {MAX_NESTING} deep (line 1, column {column})"
+        )
+
+    @pytest.mark.parametrize("depth", [50, MAX_NESTING])
+    def test_nesting_up_to_the_limit_parses(self, depth):
+        text = "(" * depth + "x - 1" + ")" * depth + "*(x + 1)"
+        assert parse(text, CTX_XYZ) == parse("x^2 - 1", CTX_XYZ)
+        assert parse("(-" * depth + "2*y" + ")" * depth, CTX_XYZ) == parse("2*y", CTX_XYZ)
+
+
 class TestFormat:
     def test_zero(self):
         assert str(LaurentPoly.zero(CTX_XY)) == "0"
@@ -124,6 +236,25 @@ class TestFormat:
 
     def test_leading_negative(self):
         assert str(LaurentPoly(CTX_XY, {(1, 0): -1, (0, 0): 2})) == "-x + 2"
+
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ({(1, 0, 0): -2, (0, 0, 0): 1}, "-2*x + 1"),
+            ({(0, 1, 0): Fraction(-1, 3)}, "-1/3*y"),
+            ({(1, 1, 0): 1, (0, 0, 1): -1}, "x*y - z"),
+            ({(0, 0, -1): -1, (0, 0, -2): 1}, "-z^-1 + z^-2"),
+            ({(0, 2, -1): Fraction(3, 4), (0, 0, 0): Fraction(-5, 7)}, "3/4*y^2*z^-1 - 5/7"),
+            ({(2, 0, 0): 1, (0, 0, 0): Fraction(5, 7)}, "x^2 + 5/7"),
+            ({(0, 0, 0): Fraction(-5, 7)}, "-5/7"),
+            ({(0, 0, 0): 12}, "12"),
+            ({(0, 0, 0): -1}, "-1"),
+            ({(0, 0, 0): 1}, "1"),
+            ({(1, 0, 0): 1, (0, 0, 0): -12}, "x - 12"),
+        ],
+    )
+    def test_coefficient_shapes(self, terms, text):
+        assert str(LaurentPoly(CTX_XYZ, terms)) == text
 
 
 class TestSubstitute:
@@ -152,6 +283,74 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert p - p == LaurentPoly.zero(CTX_XYZ)
+
+
+# Random expression trees for the parser oracle.  A node is ("var", name),
+# ("num", c) with c >= 0, ("neg", a), ("^", a, k) or (op, a, b) for op in
+# "+-*".  Only unit-valued subtrees (nonzero monomials) take negative powers.
+_LEAVES = st.one_of(
+    st.sampled_from(CTX_XYZ.names).map(lambda name: ("var", name)),
+    st.fractions(min_value=0, max_value=9, max_denominator=6).map(lambda c: ("num", c)),
+)
+_UNITS = st.recursive(
+    st.one_of(
+        st.sampled_from(CTX_XYZ.names).map(lambda name: ("var", name)),
+        st.fractions(min_value=0, max_value=9, max_denominator=6).filter(bool).map(
+            lambda c: ("num", c)
+        ),
+    ),
+    lambda units: st.one_of(
+        st.tuples(st.just("*"), units, units),
+        st.tuples(st.just("^"), units, st.integers(-3, 3)),
+    ),
+    max_leaves=4,
+)
+_TREES = st.recursive(
+    st.one_of(_LEAVES, _UNITS),
+    lambda trees: st.one_of(
+        st.tuples(st.sampled_from("+-*"), trees, trees),
+        st.tuples(st.just("neg"), trees),
+        st.tuples(st.just("^"), trees, st.integers(0, 3)),
+        st.tuples(st.just("^"), _UNITS, st.integers(-3, -1)),
+    ),
+    max_leaves=8,
+)
+# binding strength of each node's text; a child weaker than its slot needs
+_STRENGTH = {"+": 0, "-": 0, "neg": 0, "*": 1, "^": 2, "var": 3, "num": 3}
+
+
+def _render(node, slot=0):
+    kind = node[0]
+    if kind in ("var", "num"):
+        text = str(node[1])
+    elif kind == "neg":
+        text = "-" + _render(node[1], 1)
+    elif kind == "^":
+        text = f"{_render(node[1], 3)}^{node[2]}"
+    elif kind == "*":
+        text = f"{_render(node[1], 1)}*{_render(node[2], 1)}"
+    else:
+        text = f"{_render(node[1])} {kind} {_render(node[2], 1)}"
+    return f"({text})" if _STRENGTH[kind] < slot else text
+
+
+def _evaluate(node):
+    kind = node[0]
+    if kind == "var":
+        return LaurentPoly.variable(CTX_XYZ, node[1])
+    if kind == "num":
+        return LaurentPoly.constant(CTX_XYZ, node[1])
+    if kind == "neg":
+        return -_evaluate(node[1])
+    if kind == "^":
+        return _evaluate(node[1]) ** node[2]
+    a, b = _evaluate(node[1]), _evaluate(node[2])
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+@given(_TREES)
+def test_parse_matches_public_arithmetic(tree):
+    assert parse(_render(tree), CTX_XYZ) == _evaluate(tree)
 
 
 @given(polys(CTX_XY))
