@@ -224,71 +224,68 @@ def _leibniz_samples(problem: Problem) -> list[LaurentPoly]:
     return variables + [LaurentPoly._trusted(problem.ctx, total)]
 
 
-def cmd_check(problem: Problem, law: str, bound: int | None, expr: str | None) -> Report:
-    if law != "locfin" and bound is not None:
-        raise InputError(f"check {law} takes no bound argument")
+def cmd_check_leibniz(problem: Problem) -> Report:
+    report = Report(command="check leibniz")
+    samples = _leibniz_samples(problem)
+    derivations: list[tuple[str, DiagonalDerivation | GeneralDerivation]] = [
+        ("diagonal", problem.diagonal)
+    ]
+    if problem.general is not None:
+        derivations.append(("general", problem.general))
+    for label, d in derivations:
+        pairs = list(combinations_with_replacement(samples, 2))
+        for p, q in pairs:
+            if d.apply(p * q) != d.apply(p) * q + p * d.apply(q):
+                raise RuntimeError(f"Leibniz rule failed for the {label} derivation")
+        report.lines.append(f"leibniz {label}: PASS ({len(pairs)} pairs)")
+    return report
 
-    if law == "leibniz":
-        report = Report(command="check leibniz")
-        samples = _leibniz_samples(problem)
-        derivations: list[tuple[str, DiagonalDerivation | GeneralDerivation]] = [
-            ("diagonal", problem.diagonal)
-        ]
-        if problem.general is not None:
-            derivations.append(("general", problem.general))
-        for label, d in derivations:
-            pairs = list(combinations_with_replacement(samples, 2))
-            for p, q in pairs:
-                if d.apply(p * q) != d.apply(p) * q + p * d.apply(q):
-                    raise RuntimeError(f"Leibniz rule failed for the {label} derivation")
-            report.lines.append(f"leibniz {label}: PASS ({len(pairs)} pairs)")
-        return report
 
-    if law == "conjugate":
-        if problem.phi is None or problem.psi is None:
-            raise InputError("check conjugate: problem file needs 'phi:' and 'psi:' lines")
-        d = problem.diagonal
-        transported = conjugate(d, problem.phi, problem.psi)
-        report = Report(command="check conjugate")
-        for name, image in zip(problem.ctx.names, transported.images):
-            report.lines.append(f"D'({name}) = {image}")
-        for w, image in zip(d.weights, problem.phi):
-            if transported.apply(image) != image * w:
-                raise RuntimeError("eigenvector check failed")
-        report.lines.append("eigenvector check PASS")
-        return report
+def cmd_check_conjugate(problem: Problem) -> Report:
+    if problem.phi is None or problem.psi is None:
+        raise InputError("check conjugate: problem file needs 'phi:' and 'psi:' lines")
+    d = problem.diagonal
+    transported = conjugate(d, problem.phi, problem.psi)
+    report = Report(command="check conjugate")
+    for name, image in zip(problem.ctx.names, transported.images):
+        report.lines.append(f"D'({name}) = {image}")
+    for w, image in zip(d.weights, problem.phi):
+        if transported.apply(image) != image * w:
+            raise RuntimeError("eigenvector check failed")
+    report.lines.append("eigenvector check PASS")
+    return report
 
-    if law == "aD":
-        a = _query_expr(problem, expr, "check aD")
-        report = Report(command="check aD")
-        if scalar_multiple_semisimple(a, problem.diagonal):
-            report.lines.append("aD semisimple: YES (a constant)")
-        else:
-            report.lines.append("aD semisimple: NO (a not constant)")
-        return report
 
-    if law == "locfin":
-        if bound is None:
-            raise InputError("check locfin: a positive iteration bound is required")
-        if problem.general is None:
-            raise InputError("check locfin: problem file needs 'images:' lines")
-        verdict = local_finiteness_probe(problem.general, bound)
-        report = Report(command=f"check locfin {bound}")
-        if isinstance(verdict, LocallyFinite):
-            dims = " ".join(str(d) for d in verdict.span_dims)
-            report.lines.append(f"locally finite: span dims {dims}")
-            for name, span in zip(problem.ctx.names, verdict.spans):
-                rendered = ", ".join(str(p) for p in span)
-                report.lines.append(f"span({name}): {rendered}")
-        elif isinstance(verdict, NotLocallyFinite):
-            chain = " -> ".join(str(p) for p in verdict.chain)
-            report.lines.append(f"NOT locally finite: witness {chain}")
-        else:
-            assert isinstance(verdict, Inconclusive)
-            report.lines.append(f"inconclusive at bound {verdict.bound}")
-        return report
+def cmd_check_aD(problem: Problem, expr: str | None) -> Report:
+    a = _query_expr(problem, expr, "check aD")
+    report = Report(command="check aD")
+    if scalar_multiple_semisimple(a, problem.diagonal):
+        report.lines.append("aD semisimple: YES (a constant)")
+    else:
+        report.lines.append("aD semisimple: NO (a not constant)")
+    return report
 
-    raise AssertionError(f"unknown law {law!r}")
+
+def cmd_check_locfin(problem: Problem, bound: int | None) -> Report:
+    if bound is None:
+        raise InputError("check locfin: a positive iteration bound is required")
+    if problem.general is None:
+        raise InputError("check locfin: problem file needs 'images:' lines")
+    verdict = local_finiteness_probe(problem.general, bound)
+    report = Report(command=f"check locfin {bound}")
+    if isinstance(verdict, LocallyFinite):
+        dims = " ".join(str(d) for d in verdict.span_dims)
+        report.lines.append(f"locally finite: span dims {dims}")
+        for name, span in zip(problem.ctx.names, verdict.spans):
+            rendered = ", ".join(str(p) for p in span)
+            report.lines.append(f"span({name}): {rendered}")
+    elif isinstance(verdict, NotLocallyFinite):
+        chain = " -> ".join(str(p) for p in verdict.chain)
+        report.lines.append(f"NOT locally finite: witness {chain}")
+    else:
+        assert isinstance(verdict, Inconclusive)
+        report.lines.append(f"inconclusive at bound {verdict.bound}")
+    return report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,6 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> Report:
+    if args.cmd == "kernel" and args.uvars is not None and not args.localized:
+        raise InputError("--uvars applies only to --localized")
     problem = load_problem(args.file)
     if args.cmd == "decompose":
         return cmd_decompose(problem, args.expr)
@@ -335,7 +334,15 @@ def _dispatch(args: argparse.Namespace) -> Report:
             return cmd_kernel_localized(problem, args.uvars)
         return cmd_kernel_in_b(problem)
     if args.cmd == "check":
-        return cmd_check(problem, args.law, args.bound, args.expr)
+        if args.law == "locfin":
+            return cmd_check_locfin(problem, args.bound)
+        if args.bound is not None:
+            raise InputError(f"check {args.law} takes no bound argument")
+        if args.law == "leibniz":
+            return cmd_check_leibniz(problem)
+        if args.law == "conjugate":
+            return cmd_check_conjugate(problem)
+        return cmd_check_aD(problem, args.expr)
     raise AssertionError(f"unknown command {args.cmd!r}")
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Sequence
+from math import gcd
+from operator import ge
+from typing import Sequence
 
-import numpy as np
-
-from .derivation import DiagonalDerivation, _dot
+from .derivation import DiagonalDerivation
 from .laurent import LaurentPoly, RingCtx, _accumulate
 from .slices import verify_slice
 
@@ -138,44 +137,54 @@ def fraction_kernel_element(
 # the weight-zero monoid in the polynomial ring
 
 
-def _dominates(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x >= y for x, y in zip(a, b))
-
-
 def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
     """Minimal generators of {a in Z_{>=0}^n : <a, weights> = 0} \\ {0}.
 
-    Breadth-first completion from the unit vectors: a frontier vector may
-    grow by +e_i only when that moves its weight toward zero, solutions are
-    recorded level by level, and any candidate dominating a recorded solution
-    componentwise is pruned.  Because levels are exhausted in order of total
-    degree, recorded solutions are automatically minimal.  Output is sorted
-    by total degree, then lexicographically.
+    Breadth-first completion from the unit vectors (Contejean and Devie): a
+    frontier vector may grow by +e_i only when that moves its weight toward
+    zero, solutions are recorded level by level, and any candidate dominating
+    a recorded solution componentwise is pruned.  Because levels are
+    exhausted in order of total degree, recorded solutions are automatically
+    minimal.  Output is sorted by total degree, then lexicographically.
+
+    The domination test is indexed.  A candidate u = v + e_i grows a frontier
+    vector v that survived pruning, so no solution recorded before v's level
+    lies below v, and none of v's own level does either: those have v's
+    degree, and v is not a solution.  Hence a solution b <= u has
+    b[i] == u[i], since otherwise b <= v.  The basis is kept indexed by
+    coordinate and value, and u is compared only with the solutions whose
+    i-th entry equals u[i].
     """
     ws = tuple(int(w) for w in weights)
     n = len(ws)
     if n == 0:
         raise ValueError("empty weight vector")
     basis: list[tuple[int, ...]] = []
-    level = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen = set(level)
+    by_entry: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(n)]
+    # each frontier vector travels with its weight <v, ws>
+    level = [(tuple(1 if j == i else 0 for j in range(n)), ws[i]) for i in range(n)]
+    seen = {v for v, _ in level}
     while level:
-        basis.extend(sorted(v for v in level if _dot(v, ws) == 0))
+        for b in sorted(v for v, w in level if w == 0):
+            basis.append(b)
+            for i, x in enumerate(b):
+                by_entry[i].setdefault(x, []).append(b)
         frontier = []
-        for v in level:
-            w = _dot(v, ws)
+        for v, w in level:
             if w == 0:
                 continue
             for i in range(n):
                 if ws[i] * w >= 0:
                     continue
                 u = v[:i] + (v[i] + 1,) + v[i + 1 :]
-                if u in seen or any(_dominates(u, b) for b in basis):
+                if u in seen:
+                    continue
+                below = by_entry[i].get(u[i])
+                if below and any(all(map(ge, u, b)) for b in below):
                     continue
                 seen.add(u)
-                frontier.append(u)
+                frontier.append((u, w + ws[i]))
         level = frontier
-    basis.sort(key=lambda a: (sum(a), a))
     return HilbertBasis(tuple(basis))
 
 
@@ -184,30 +193,95 @@ def kernel_in_B(d: DiagonalDerivation) -> list[LaurentPoly]:
     return [LaurentPoly.monomial(d.ctx, a) for a in hilbert_basis(d.weights).gens]
 
 
-def _compositions_upto(n: int, degree: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        for k in range(degree + 1):
-            yield (k,)
-        return
-    for k in range(degree + 1):
-        for rest in _compositions_upto(n - 1, degree - k):
-            yield (k,) + rest
-
-
-@lru_cache(maxsize=None)
-def _exponent_grid(n: int, degree: int) -> np.ndarray:
-    rows = list(_compositions_upto(n, degree))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
-
-
 def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int, ...]]:
     """All a >= 0 with total degree <= degree and <a, weights> = 0, sorted by
-    total degree then lexicographically; includes the zero vector."""
+    total degree then lexicographically; includes the zero vector.
+
+    Exact for any int weights: a depth-first walk over the coordinates in
+    Python ints.  With partial weight s and degree budget r left, the next
+    coordinate j takes only the values k for which the weights the remaining
+    coordinates can still reach with budget r - k, the interval
+    [s + k*w_j + (r-k)*min(0, suffix), s + k*w_j + (r-k)*max(0, suffix)],
+    contains 0; two floor divisions give that range of k.  The walk only
+    skips branches that cannot reach weight 0, so it lists every solution
+    and shares nothing with hilbert_basis.
+
+    The last two coordinates are solved in closed form.  Within that range,
+    the values k of the second-to-last coordinate that leave an integer last
+    coordinate m = -(s + k*w_pen) / w_last are one residue class modulo
+    |w_last| / gcd(w_pen, w_last), found with a modular inverse.  When
+    w_last is 0, or there is one coordinate, the last coordinate is solved
+    directly, by one divmod.
+    """
     ws = tuple(int(w) for w in weights)
-    grid = _exponent_grid(len(ws), int(degree))
-    mask = grid @ np.array(ws, dtype=np.int64) == 0
-    solutions = [tuple(int(v) for v in row) for row in grid[mask]]
-    solutions.sort(key=lambda a: (sum(a), a))
+    n = len(ws)
+    if n == 0:
+        raise ValueError("empty weight vector")
+    # lows[j], highs[j]: least and greatest weight per unit of degree that
+    # coordinates j.. can add, counting the option of adding nothing
+    lows = [0] * (n + 1)
+    highs = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        lows[j] = min(lows[j + 1], ws[j])
+        highs[j] = max(highs[j + 1], ws[j])
+    last = n - 1
+    w_last = ws[last]
+    w_pen = ws[last - 1] if n > 1 else 0
+    g = gcd(w_pen, w_last)
+    # k*w_pen + m*w_last = -s has an integer m exactly when g divides s and
+    # k == (-s/g) * inverse modulo step
+    step = abs(w_last) // g if w_last else 0
+    inverse = pow(w_pen // g, -1, step) if step > 1 else 0
+    solutions: list[tuple[int, ...]] = []
+    prefix = [0] * n
+
+    def walk(j: int, s: int, r: int) -> None:
+        if j == last:
+            if w_last == 0:
+                if s == 0:
+                    for k in range(r + 1):
+                        prefix[last] = k
+                        solutions.append(tuple(prefix))
+                return
+            k, rest = divmod(-s, w_last)
+            if not rest and 0 <= k <= r:
+                prefix[last] = k
+                solutions.append(tuple(prefix))
+            return
+        w, low, high = ws[j], lows[j + 1], highs[j + 1]
+        k_min, k_max = 0, r
+        # lowest reachable weight s + r*low + k*(w - low) must be <= 0
+        base, slope = s + r * low, w - low
+        if slope > 0:
+            k_max = min(k_max, -base // slope)
+        elif slope < 0:
+            k_min = max(k_min, -(-base // -slope))
+        elif base > 0:
+            return
+        # highest reachable weight s + r*high + k*(w - high) must be >= 0
+        base, slope = s + r * high, w - high
+        if slope > 0:
+            k_min = max(k_min, -(base // slope))
+        elif slope < 0:
+            k_max = min(k_max, base // -slope)
+        elif base < 0:
+            return
+        if j == last - 1 and w_last:
+            if s % g:
+                return
+            first = k_min + ((-s // g) * inverse - k_min) % step
+            for k in range(first, k_max + 1, step):
+                prefix[j] = k
+                prefix[last] = (-s - k * w) // w_last
+                solutions.append(tuple(prefix))
+            return
+        for k in range(k_min, k_max + 1):
+            prefix[j] = k
+            walk(j + 1, s + k * w, r - k)
+
+    walk(0, 0, int(degree))
+    # the walk emits lexicographic order; a stable sort by degree keeps it
+    solutions.sort(key=sum)
     return solutions
 
 

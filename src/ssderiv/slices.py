@@ -6,9 +6,7 @@ the denominator monomial f.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .derivation import DiagonalDerivation
 from .laurent import LaurentPoly
@@ -35,10 +33,9 @@ def faithfulness_index(d: DiagonalDerivation) -> int:
     g > 1 means every occurring weight is divisible by g, so the action
     factors through t -> t^g.
     """
-    nonzero = [abs(w) for w in d.weights if w != 0]
-    if not nonzero:
+    if d.is_zero():
         raise ValueError("no nonzero weights")
-    return reduce(math.gcd, nonzero)
+    return bezout_multi(d.weights).g
 
 
 def build_slice(d: DiagonalDerivation) -> SliceData:

@@ -1,5 +1,6 @@
 """Shared generators for the test suite: hypothesis strategies and seeded
-random builders for polynomials, weight vectors and triangular automorphisms."""
+random builders for polynomials, weight vectors and triangular automorphisms,
+plus reference implementations that the library's faster paths must match."""
 
 from __future__ import annotations
 
@@ -91,3 +92,41 @@ def random_triangular_pair(rng: random.Random, ctx: RingCtx, steps: int = 2, exp
         phi = [p.substitute(tau) for p in phi]
         psi = [t.substitute(psi) for t in tau_inv]
     return phi, psi
+
+
+def reference_hilbert_basis(weights) -> tuple[tuple[int, ...], ...]:
+    """Unindexed Hilbert completion: the same breadth-first search as
+    ssderiv.hilbert_basis, but every candidate is compared with every
+    recorded solution.  Returns the generators in the library's order."""
+    ws = tuple(weights)
+    n = len(ws)
+    basis = []
+    level = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen = set(level)
+    while level:
+        basis.extend(sorted(v for v in level if sum(e * w for e, w in zip(v, ws)) == 0))
+        frontier = []
+        for v in level:
+            w = sum(e * x for e, x in zip(v, ws))
+            if w == 0:
+                continue
+            for i in range(n):
+                if ws[i] * w >= 0:
+                    continue
+                u = v[:i] + (v[i] + 1,) + v[i + 1 :]
+                if u in seen or any(all(x >= y for x, y in zip(u, b)) for b in basis):
+                    continue
+                seen.add(u)
+                frontier.append(u)
+        level = frontier
+    basis.sort(key=lambda a: (sum(a), a))
+    return tuple(basis)
+
+
+def minimal_nonzero(solutions) -> set[tuple[int, ...]]:
+    """The nonzero vectors of a solution list that dominate no other one."""
+    kept = []
+    for a in sorted(solutions, key=lambda a: (sum(a), a)):
+        if any(a) and not any(all(x >= y for x, y in zip(a, b)) for b in kept):
+            kept.append(a)
+    return set(kept)

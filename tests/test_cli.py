@@ -2,7 +2,11 @@
 byte-identical across runs on identical input."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,22 @@ class TestKernel:
         assert code == 0
         assert out == "command: kernel --brute 5\n1\nx^3*y^2\n"
 
+    def test_brute_weights_beyond_64_bits(self, tmp_path):
+        path = problem(
+            tmp_path, "vars: x y\nweights: 9223372036854775808 -9223372036854775808\n"
+        )
+        code, out, err = run_cli("kernel", "--file", path, "--brute", "4")
+        assert code == 0 and err == ""
+        assert out == "command: kernel --brute 4\n1\nx*y\nx^2*y^2\n"
+
+    @pytest.mark.parametrize(
+        "mode", [("--in-B",), ("--brute", "3"), ()], ids=["in-B", "brute", "default"]
+    )
+    def test_uvars_only_with_localized(self, hyperbolic, mode):
+        code, out, err = run_cli("kernel", "--file", hyperbolic, *mode, "--uvars", "a b c d")
+        assert code == 2 and out == ""
+        assert err == "error: --uvars applies only to --localized\n"
+
 
 class TestCheck:
     def test_aD_nonconstant(self, hyperbolic):
@@ -202,6 +222,12 @@ class TestCheck:
         code, _, err = run_cli("check", "locfin", "4", "--file", coprime)
         assert code == 2 and "images" in err
 
+    @pytest.mark.parametrize("law", ["leibniz", "conjugate", "aD"])
+    def test_bound_only_for_locfin(self, hyperbolic, law):
+        code, out, err = run_cli("check", law, "3", "--file", hyperbolic)
+        assert code == 2 and out == ""
+        assert err == f"error: check {law} takes no bound argument\n"
+
     def test_leibniz(self, coprime):
         code, out, _ = run_cli("check", "leibniz", "--file", coprime)
         assert code == 0
@@ -224,6 +250,16 @@ def test_internal_failure_exits_one(coprime, monkeypatch):
     code, out, err = run_cli("slice", "--file", coprime)
     assert code == 1 and out == ""
     assert "internal error" in err
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ssderiv, ssderiv.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 class TestProblemFile:

@@ -3,6 +3,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ssderiv import (
     DiagonalDerivation,
@@ -21,7 +23,13 @@ from ssderiv import (
     weight_zero_exponents,
 )
 
-from helpers import CTX_XY, random_poly, random_weights
+from helpers import (
+    CTX_XY,
+    minimal_nonzero,
+    random_poly,
+    random_weights,
+    reference_hilbert_basis,
+)
 
 X = LaurentPoly.variable(CTX_XY, "x")
 Y = LaurentPoly.variable(CTX_XY, "y")
@@ -211,16 +219,6 @@ class TestKernelInB:
                     assert dd.apply(a * b).is_zero()
 
 
-def _minimal_nonzero(solutions):
-    kept = []
-    for a in sorted(solutions, key=lambda a: (sum(a), a)):
-        if not any(a):
-            continue
-        if not any(all(x >= y for x, y in zip(a, b)) for b in kept):
-            kept.append(a)
-    return kept
-
-
 def test_oracle_agrees_with_completion_small_sample():
     rng = random.Random(95)
     for _ in range(60):
@@ -228,4 +226,95 @@ def test_oracle_agrees_with_completion_small_sample():
         ws = tuple(rng.randint(-4, 4) for _ in range(n))
         bound = max(1, n * max(abs(w) for w in ws) * (max(abs(w) for w in ws) + 1))
         solutions = weight_zero_exponents(ws, bound)
-        assert set(_minimal_nonzero(solutions)) == set(hilbert_basis(ws).gens)
+        assert minimal_nonzero(solutions) == set(hilbert_basis(ws).gens)
+
+
+# ----------------------------------------------------------------------
+# the indexed completion and the depth-first oracle against references
+
+# n * max|w| stays <= _SPAN, which keeps the unindexed reference completion
+# to milliseconds per example
+_SPAN = 36
+
+
+@st.composite
+def capped_weights(draw, min_n=1, max_n=7, top=12):
+    n = draw(st.integers(min_n, max_n))
+    bound = min(top, _SPAN // n)
+    if draw(st.booleans()):
+        # few distinct values, so repeated and zero weights are common
+        pool = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=3))
+        return tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return tuple(draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)))
+
+
+def _lambert_degree(ws):
+    """Max positive weight plus max |negative weight|, at least 1: no minimal
+    solution has a larger total degree (Lambert 1987)."""
+    return max(1, max(0, *ws) + max(0, *(-w for w in ws)))
+
+
+@settings(max_examples=200)
+@given(capped_weights())
+@example((0,))
+@example((0, 0, 0, 0, 0, 0, 0))
+@example((3, 3, -2, -2, 0))
+@example((5, 5, 5, 5, 5, 5, -1))
+@example((12, -12, 12))
+@example((1, 2, 3, -4, -5, -6))
+def test_completion_matches_unindexed_reference(ws):
+    assert hilbert_basis(ws).gens == reference_hilbert_basis(ws)
+
+
+@given(capped_weights())
+@example((7, 11, -13, -17))
+@example((0, 3, -3))
+def test_generators_satisfy_the_lambert_bound(ws):
+    top_positive = max(0, *ws)
+    top_negative = max(0, *(-w for w in ws))
+    for a in hilbert_basis(ws).gens:
+        assert sum(e for e, w in zip(a, ws) if w > 0) <= top_negative
+        assert sum(e for e, w in zip(a, ws) if w < 0) <= top_positive
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(-5, 5), min_size=n, max_size=n)),
+    st.integers(0, 6),
+)
+@example([3], 0)
+@example([0], 4)
+@example([-2], 6)
+@example([0, 0, 0], 3)
+@example([0, 2, -1], 5)
+@example([4, 4, -2, -2], 6)
+def test_oracle_matches_direct_enumeration(ws, degree):
+    expected = sorted(
+        (
+            a
+            for a in product(range(degree + 1), repeat=len(ws))
+            if sum(a) <= degree and sum(e * w for e, w in zip(a, ws)) == 0
+        ),
+        key=lambda a: (sum(a), a),
+    )
+    assert weight_zero_exponents(ws, degree) == expected
+
+
+@settings(max_examples=60)
+@given(capped_weights(min_n=4, max_n=6, top=6))
+@example((7, 11, -13, -17))
+@example((2, 3, 5, -7, -11))
+def test_oracle_matches_completion_at_the_lambert_degree(ws):
+    solutions = weight_zero_exponents(ws, _lambert_degree(ws))
+    assert minimal_nonzero(solutions) == set(hilbert_basis(ws).gens)
+
+
+class TestExactForLargeWeights:
+    def test_oracle_does_not_wrap(self):
+        assert weight_zero_exponents((2**62, 2**62), 4) == [(0, 0)]
+        assert weight_zero_exponents((2**63, -(2**63)), 4) == [(0, 0), (1, 1), (2, 2)]
+        assert weight_zero_exponents((3 * 2**70, -(2**71), 5), 5) == [(0, 0, 0), (2, 3, 0)]
+
+    def test_completion_does_not_wrap(self):
+        assert hilbert_basis((2**62, 2**62)).gens == ()
+        assert hilbert_basis((2**63, -(2**63))).gens == ((1, 1),)
+        assert hilbert_basis((3 * 2**70, -(2**71), 0)).gens == ((0, 0, 1), (2, 3, 0))
