@@ -218,7 +218,7 @@ def _leibniz_samples(problem: Problem) -> list[LaurentPoly]:
     if len(problem.queries) >= 2:
         return list(problem.queries)
     variables = [LaurentPoly.variable(problem.ctx, i) for i in range(problem.ctx.n)]
-    total: dict[tuple[int, ...], Fraction] = {}
+    total: dict[tuple[int, ...], Fraction | int] = {}
     for v in variables:
         _accumulate(total, v.terms.items())
     return variables + [LaurentPoly._trusted(problem.ctx, total)]

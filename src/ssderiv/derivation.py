@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-from .laurent import LaurentPoly, RingCtx, _accumulate
+from .laurent import LaurentPoly, RingCtx, _accumulate, _canon
 
 
 def _dot(exps: Sequence[int], weights: Sequence[int]) -> int:
@@ -38,7 +38,7 @@ class WeightDecomposition:
         return tuple(self.components)
 
     def recombine(self, ctx: RingCtx) -> LaurentPoly:
-        total: dict[tuple[int, ...], Fraction] = {}
+        total: dict[tuple[int, ...], Fraction | int] = {}
         for component in self.components.values():
             if component.ctx != ctx:
                 raise ValueError("context mismatch")
@@ -73,13 +73,13 @@ class DiagonalDerivation:
         """Each term c*x^a maps to <a, weights> * c * x^a; weight-0 terms vanish."""
         self._require_ctx(p)
         return LaurentPoly._trusted(
-            p.ctx, {e: c * w for e, c in p.terms.items() if (w := self.term_weight(e))}
+            p.ctx, {e: _canon(c * w) for e, c in p.terms.items() if (w := self.term_weight(e))}
         )
 
     def weight_decompose(self, p: LaurentPoly) -> WeightDecomposition:
         """Group the terms of p by weight; the components are eigenvectors."""
         self._require_ctx(p)
-        buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        buckets: dict[int, dict[tuple[int, ...], Fraction | int]] = {}
         for exps, coeff in p.terms.items():
             buckets.setdefault(self.term_weight(exps), {})[exps] = coeff
         return WeightDecomposition(
@@ -104,9 +104,9 @@ class DiagonalDerivation:
         decomposition = self.weight_decompose(p)
         if 0 in decomposition.components:
             return False, None
-        preimage: dict[tuple[int, ...], Fraction] = {}
+        preimage: dict[tuple[int, ...], Fraction | int] = {}
         for w, component in decomposition.components.items():
-            _accumulate(preimage, component.terms.items(), Fraction(1, w))
+            _accumulate(preimage, component.terms.items(), _canon(Fraction(1, w)))
         return True, LaurentPoly._trusted(p.ctx, preimage)
 
     def __add__(self, other: "DiagonalDerivation") -> "DiagonalDerivation":
@@ -143,7 +143,7 @@ class GeneralDerivation:
         """sum_i images[i] * dp/dx_i, valid for all integer exponents."""
         if p.ctx != self.ctx:
             raise ValueError("context mismatch")
-        total: dict[tuple[int, ...], Fraction] = {}
+        total: dict[tuple[int, ...], Fraction | int] = {}
         for i, image in enumerate(self.images):
             if not image.is_zero():
                 _accumulate(total, (image * p.partial(i)).terms.items())
@@ -243,13 +243,13 @@ class _RowSpace:
     """Incremental exact row space over Q, coordinates indexed by monomials."""
 
     def __init__(self):
-        self.rows: list[tuple[tuple[int, ...], dict[tuple[int, ...], Fraction]]] = []
+        self.rows: list[tuple[tuple[int, ...], dict[tuple[int, ...], Fraction | int]]] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, p: LaurentPoly) -> dict[tuple[int, ...], Fraction]:
+    def _reduce(self, p: LaurentPoly) -> dict[tuple[int, ...], Fraction | int]:
         """The remainder of p after elimination against every stored row."""
         vec = dict(p.terms)
         for pivot, row in self.rows:
@@ -264,8 +264,8 @@ class _RowSpace:
         if not vec:
             return False
         pivot = max(vec)
-        inv = 1 / vec[pivot]
-        self.rows.append((pivot, {k: v * inv for k, v in vec.items()}))
+        inv = _canon(1 / Fraction(vec[pivot]))  # int / int would be a float
+        self.rows.append((pivot, {k: _canon(v * inv) for k, v in vec.items()}))
         return True
 
     def contains(self, p: LaurentPoly) -> bool:
@@ -298,11 +298,11 @@ def _certify_unbounded(d: GeneralDerivation, chain: Sequence[LaurentPoly]) -> tu
         return None
     n = d.ctx.n
     last = chain[-1].monomial_exponents()
-    coeffs: list[Fraction] = []
+    coeffs: list[Fraction | int] = []
     for j in range(n):
         image = d.images[j]
         if image.is_zero() or (last[j] == 0 and shift[j] == 0):
-            coeffs.append(Fraction(0))  # x_j never contributes along the chain
+            coeffs.append(0)  # x_j never contributes along the chain
             continue
         if not image.is_monomial():
             return None

@@ -108,7 +108,7 @@ def reconstruct_from_slice_coordinates(
 ) -> LaurentPoly:
     """Inverse of slice_coordinates: substitute u_i -> x_i * s^(-w_i)."""
     u_images = _u_images(d, s)
-    total: dict[tuple[int, ...], Fraction] = {}
+    total: dict[tuple[int, ...], Fraction | int] = {}
     for w, component in coords.components.items():
         _accumulate(total, (component.substitute(u_images) * s**w).terms.items())
     return LaurentPoly._trusted(d.ctx, total)
@@ -197,8 +197,9 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     """All a >= 0 with total degree <= degree and <a, weights> = 0, sorted by
     total degree then lexicographically; includes the zero vector.
 
-    Exact for any int weights: a depth-first walk over the coordinates in
-    Python ints.  With partial weight s and degree budget r left, the next
+    Exact for any int weights and any number of coordinates: a depth-first
+    walk over the coordinates in Python ints, iterative rather than
+    recursive.  With partial weight s and degree budget r left, the next
     coordinate j takes only the values k for which the weights the remaining
     coordinates can still reach with budget r - k, the interval
     [s + k*w_j + (r-k)*min(0, suffix), s + k*w_j + (r-k)*max(0, suffix)],
@@ -234,52 +235,69 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     inverse = pow(w_pen // g, -1, step) if step > 1 else 0
     solutions: list[tuple[int, ...]] = []
     prefix = [0] * n
-
-    def walk(j: int, s: int, r: int) -> None:
+    # the walk keeps its path in arrays, not on the call stack, so any
+    # number of coordinates works: before coordinate j the partial weight is
+    # sums[j] and the degree left budgets[j]; tops[j] is the largest value
+    # coordinate j still takes
+    tops = [0] * n
+    sums = [0] * n
+    budgets = [0] * n
+    budgets[0] = int(degree)
+    j = 0
+    while True:
+        s, r = sums[j], budgets[j]
         if j == last:
             if w_last == 0:
                 if s == 0:
                     for k in range(r + 1):
                         prefix[last] = k
                         solutions.append(tuple(prefix))
-                return
-            k, rest = divmod(-s, w_last)
-            if not rest and 0 <= k <= r:
-                prefix[last] = k
-                solutions.append(tuple(prefix))
-            return
-        w, low, high = ws[j], lows[j + 1], highs[j + 1]
-        k_min, k_max = 0, r
-        # lowest reachable weight s + r*low + k*(w - low) must be <= 0
-        base, slope = s + r * low, w - low
-        if slope > 0:
-            k_max = min(k_max, -base // slope)
-        elif slope < 0:
-            k_min = max(k_min, -(-base // -slope))
-        elif base > 0:
-            return
-        # highest reachable weight s + r*high + k*(w - high) must be >= 0
-        base, slope = s + r * high, w - high
-        if slope > 0:
-            k_min = max(k_min, -(base // slope))
-        elif slope < 0:
-            k_max = min(k_max, base // -slope)
-        elif base < 0:
-            return
-        if j == last - 1 and w_last:
-            if s % g:
-                return
-            first = k_min + ((-s // g) * inverse - k_min) % step
-            for k in range(first, k_max + 1, step):
-                prefix[j] = k
-                prefix[last] = (-s - k * w) // w_last
-                solutions.append(tuple(prefix))
-            return
-        for k in range(k_min, k_max + 1):
-            prefix[j] = k
-            walk(j + 1, s + k * w, r - k)
+            else:
+                k, rest = divmod(-s, w_last)
+                if not rest and 0 <= k <= r:
+                    prefix[last] = k
+                    solutions.append(tuple(prefix))
+        else:
+            w, low, high = ws[j], lows[j + 1], highs[j + 1]
+            k_min, k_max = 0, r
+            # lowest reachable weight s + r*low + k*(w - low) must be <= 0
+            base, slope = s + r * low, w - low
+            if slope > 0:
+                k_max = min(k_max, -base // slope)
+            elif slope < 0:
+                k_min = max(k_min, -(-base // -slope))
+            elif base > 0:
+                k_max = -1
+            # highest reachable weight s + r*high + k*(w - high) must be >= 0
+            base, slope = s + r * high, w - high
+            if slope > 0:
+                k_min = max(k_min, -(base // slope))
+            elif slope < 0:
+                k_max = min(k_max, base // -slope)
+            elif base < 0:
+                k_max = -1
+            if j == last - 1 and w_last:
+                if not s % g:
+                    first = k_min + ((-s // g) * inverse - k_min) % step
+                    for k in range(first, k_max + 1, step):
+                        prefix[j] = k
+                        prefix[last] = (-s - k * w) // w_last
+                        solutions.append(tuple(prefix))
+            elif k_min <= k_max:
+                prefix[j], tops[j] = k_min, k_max
+                sums[j + 1], budgets[j + 1] = s + k_min * w, r - k_min
+                j += 1
+                continue
+        # back up to the deepest open coordinate with a value left, and step it
+        j -= 1
+        while j >= 0 and prefix[j] == tops[j]:
+            j -= 1
+        if j < 0:
+            break
+        k = prefix[j] = prefix[j] + 1
+        sums[j + 1], budgets[j + 1] = sums[j] + k * ws[j], budgets[j] - k
+        j += 1
 
-    walk(0, 0, int(degree))
     # the walk emits lexicographic order; a stable sort by degree keeps it
     solutions.sort(key=sum)
     return solutions

@@ -64,48 +64,59 @@ def _check_index(ctx: RingCtx, i: int) -> int:
     return i
 
 
+def _canon(q: Fraction | int) -> Fraction | int:
+    """The canonical form of an exact rational: an `int` when q is integral,
+    else q itself, a `Fraction` with denominator > 1."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def _accumulate(acc: dict, terms, scale=None) -> None:
     """Add `scale` times each (exponents, coefficient) pair of `terms` into
     `acc`, in place, dropping keys whose coefficients cancel.
 
     `acc` must be a dict the caller owns, never the `terms` of a
-    polynomial; `scale`, when given, must be nonzero.  This is the package's
-    one term-merge loop: sums, products, substitution, the parser and
-    Gaussian reduction all run through it.
+    polynomial; `scale`, when given, must be nonzero.  The coefficients of
+    `terms` and `scale` must be canonical (see `_canon`); the results are
+    too, and a sum or product of two `int`s never touches `fractions`.
+    This is the package's one term-merge loop: sums, products,
+    substitution, the parser and Gaussian reduction all run through it.
     """
     get = acc.get
     for key, coeff in terms:
         if scale is not None:
             coeff = coeff * scale
         old = get(key)
-        if old is None:
-            acc[key] = coeff
-        else:
+        if old is not None:
             coeff = old + coeff
-            if coeff:
-                acc[key] = coeff
-            else:
+            if not coeff:
                 del acc[key]
+                continue
+        acc[key] = coeff if type(coeff) is int else _canon(coeff)
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial.
 
     Invariant of `terms`: every key is a tuple of exactly ctx.n `int`
-    exponents, every value is a nonzero `Fraction`, and the zero polynomial
-    has an empty map.  The dict is never mutated after construction; all
+    exponents, every value is a nonzero exact rational in canonical form (a
+    plain `int` when it is integral, otherwise a `Fraction` with denominator
+    > 1, so each value has one representation), and the zero polynomial has
+    an empty map.  The dict is never mutated after construction; all
     operations return fresh values, so sharing across threads is safe.
 
-    The public constructor establishes the invariant from arbitrary input.
-    `_trusted` wraps a dict as it is and is for internal results only: its
-    callers must uphold the invariant and hand over a dict nothing else
-    holds.
+    The public constructor establishes the invariant from any `int` or
+    `Fraction` coefficients and raises TypeError for anything else, floats
+    included.  `_trusted` wraps a dict as it is and is for internal results
+    only: its callers must uphold the invariant, normalising with `_canon`
+    any value that came out of `Fraction` arithmetic, and hand over a dict
+    nothing else holds.  A division must go through `Fraction`: `int / int`
+    and `int ** -k` give floats.
     """
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingCtx, terms: Mapping[Sequence[int], Fraction | int] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Fraction | int] = {}
         if terms:
             for exps, coeff in terms.items():
                 key = tuple(int(e) for e in exps)
@@ -113,9 +124,12 @@ class LaurentPoly:
                     raise ValueError(
                         f"exponent vector of length {len(key)} in a ring with {ctx.n} variables"
                     )
-                value = Fraction(coeff)
-                if value:
-                    clean[key] = value
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(
+                        f"coefficients must be int or Fraction, not {type(coeff).__name__}"
+                    )
+                if coeff:
+                    clean[key] = _canon(coeff)
         self.ctx = ctx
         self.terms = clean
 
@@ -123,7 +137,7 @@ class LaurentPoly:
     # constructors
 
     @classmethod
-    def _trusted(cls, ctx: RingCtx, terms: dict[tuple[int, ...], Fraction]) -> "LaurentPoly":
+    def _trusted(cls, ctx: RingCtx, terms: dict[tuple[int, ...], Fraction | int]) -> "LaurentPoly":
         """Wrap `terms` without validation; see the class docstring."""
         poly = object.__new__(cls)
         poly.ctx = ctx
@@ -136,17 +150,17 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, ctx: RingCtx, value) -> "LaurentPoly":
-        return cls(ctx, {(0,) * ctx.n: Fraction(value)})
+        return cls(ctx, {(0,) * ctx.n: value})
 
     @classmethod
     def variable(cls, ctx: RingCtx, which: int | str) -> "LaurentPoly":
         i = ctx.index(which) if isinstance(which, str) else _check_index(ctx, which)
         exps = tuple(1 if j == i else 0 for j in range(ctx.n))
-        return cls._trusted(ctx, {exps: Fraction(1)})
+        return cls._trusted(ctx, {exps: 1})
 
     @classmethod
     def monomial(cls, ctx: RingCtx, exps: Sequence[int], coeff=1) -> "LaurentPoly":
-        return cls(ctx, {tuple(exps): Fraction(coeff)})
+        return cls(ctx, {tuple(exps): coeff})
 
     # ------------------------------------------------------------------
     # structure queries
@@ -163,18 +177,18 @@ class LaurentPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self.terms.values()), 0))
 
     def monomial_exponents(self) -> tuple[int, ...]:
         if not self.is_monomial():
             raise ValueError("not a monomial")
         return next(iter(self.terms))
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
         """Terms in canonical order: descending lexicographic exponent vectors."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], Fraction | int]]:
         return iter(self.sorted_terms())
 
     # ------------------------------------------------------------------
@@ -203,16 +217,18 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             self._require_same_ctx(other)
-            terms: dict[tuple[int, ...], Fraction] = {}
+            terms: dict[tuple[int, ...], Fraction | int] = {}
             rhs = other.terms.items()
             for e1, c1 in self.terms.items():
                 _accumulate(terms, ((tuple(map(add, e1, e2)), c2) for e2, c2 in rhs), c1)
             return LaurentPoly._trusted(self.ctx, terms)
         if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            if not scalar:
+            if not other:
                 return LaurentPoly.zero(self.ctx)
-            return LaurentPoly._trusted(self.ctx, {e: c * scalar for e, c in self.terms.items()})
+            scalar = _canon(other)
+            return LaurentPoly._trusted(
+                self.ctx, {e: _canon(c * scalar) for e, c in self.terms.items()}
+            )
         return NotImplemented
 
     def __rmul__(self, other) -> "LaurentPoly":
@@ -222,9 +238,14 @@ class LaurentPoly:
         if not isinstance(power, int):
             raise TypeError("polynomial powers must be integers")
         if self.is_monomial():
-            # units: c*x^a -> c^m * x^(m*a) for every integer m
+            # units: c*x^a -> c^m * x^(m*a) for every integer m; a negative
+            # m divides, so it goes through Fraction (int ** -m is a float)
             exps, coeff = next(iter(self.terms.items()))
-            return LaurentPoly._trusted(self.ctx, {tuple(e * power for e in exps): coeff**power})
+            if power < 0:
+                coeff = Fraction(coeff)
+            return LaurentPoly._trusted(
+                self.ctx, {tuple(e * power for e in exps): _canon(coeff**power)}
+            )
         if power < 0:
             raise ValueError("not a unit")
         result = LaurentPoly.constant(self.ctx, 1)
@@ -258,7 +279,7 @@ class LaurentPoly:
             if e == 0:
                 continue
             key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            terms[key] = coeff * e
+            terms[key] = _canon(coeff * e)
         return LaurentPoly._trusted(self.ctx, terms)
 
     def substitute(self, images: Sequence["LaurentPoly"]) -> "LaurentPoly":
@@ -273,8 +294,8 @@ class LaurentPoly:
         for img in images:
             if img.ctx != target:
                 raise ValueError("context mismatch")
-        total: dict[tuple[int, ...], Fraction] = {}
-        one = ((0,) * target.n, Fraction(1))
+        total: dict[tuple[int, ...], Fraction | int] = {}
+        one = ((0,) * target.n, 1)
         for exps, coeff in self.terms.items():
             term = None
             for img, e in zip(images, exps):
@@ -366,7 +387,7 @@ class _Parser:
         return poly
 
     def expr(self) -> LaurentPoly:
-        total: dict[tuple[int, ...], Fraction] = {}
+        total: dict[tuple[int, ...], Fraction | int] = {}
         negate = self.tokens[self.pos] == "-"
         if negate:
             self.pos += 1
@@ -430,7 +451,9 @@ class _Parser:
             self.pos += 1
         if not num:
             return
-        scale = Fraction(-num if negate else num, den)
+        if negate:
+            num = -num
+        scale = num if den == 1 else _canon(Fraction(num, den))
         key = tuple(exps)
         if poly is None:
             _accumulate(total, ((key, scale),))

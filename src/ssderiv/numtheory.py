@@ -6,9 +6,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-# Rational scalars are plain fractions.Fraction values: always in lowest terms
-# with a positive denominator, which is the canonical form everything else
-# relies on.
+# Rational scalars are fractions.Fraction values: always in lowest terms with
+# a positive denominator.  Polynomial coefficients keep one canonical form of
+# each rational: a plain int when it is integral, so that integer arithmetic
+# never touches fractions, and a Fraction with denominator > 1 otherwise (see
+# laurent.LaurentPoly).  A division goes through Fraction, since int / int
+# and int ** -k give floats.
 Rat = Fraction
 
 

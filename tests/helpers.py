@@ -20,23 +20,57 @@ def exponent_vectors(n: int, bound: int = 5):
     return st.tuples(*([st.integers(-bound, bound)] * n))
 
 
-def polys(ctx: RingCtx, max_terms: int = 8, exp_bound: int = 5):
+def coefficients(integer: bool = False):
+    if integer:
+        return st.integers(-9, 9)
+    return st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def polys(ctx: RingCtx, max_terms: int = 8, exp_bound: int = 5, integer: bool = False):
     return st.dictionaries(
         exponent_vectors(ctx.n, exp_bound),
-        st.fractions(min_value=-9, max_value=9, max_denominator=9),
+        coefficients(integer),
         max_size=max_terms,
     ).map(lambda terms: LaurentPoly(ctx, terms))
+
+
+def int_polys(ctx: RingCtx, **kwargs):
+    """Polynomials whose coefficients are all integers."""
+    return polys(ctx, integer=True, **kwargs)
 
 
 def nonzero_polys(ctx: RingCtx, **kwargs):
     return polys(ctx, **kwargs).filter(lambda p: not p.is_zero())
 
 
-def monomials(ctx: RingCtx, exp_bound: int = 5):
+def monomials(ctx: RingCtx, exp_bound: int = 5, integer: bool = False):
     return st.tuples(
         exponent_vectors(ctx.n, exp_bound),
-        st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+        coefficients(integer).filter(bool),
     ).map(lambda pair: LaurentPoly.monomial(ctx, pair[0], pair[1]))
+
+
+# One draw per example: every strategy built by `either` in that example uses
+# integer coefficients, or every one uses rational coefficients.
+_INTEGER_ONLY = st.shared(st.booleans(), key="integer coefficients")
+
+
+def either(make, ctx: RingCtx, **kwargs):
+    """`make(ctx, **kwargs)` (polys or monomials) with integer-only
+    coefficients in about half of the examples."""
+    return _INTEGER_ONLY.flatmap(lambda integer: make(ctx, integer=integer, **kwargs))
+
+
+def assert_canonical(p: LaurentPoly) -> None:
+    """Keys are int tuples of length ctx.n; each coefficient is nonzero and
+    has one representation: an `int` when integral, else a `Fraction` with
+    denominator > 1 (never a float); validation changes nothing."""
+    for key, coeff in p.terms.items():
+        assert type(key) is tuple and len(key) == p.ctx.n
+        assert all(type(e) is int for e in key)
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+    assert p == LaurentPoly(p.ctx, dict(p.terms))
 
 
 def weight_vectors(n: int, bound: int = 5):

@@ -154,6 +154,19 @@ class TestKernel:
         assert out == "command: kernel --brute 4\n1\nx*y\nx^2*y^2\n"
 
     @pytest.mark.parametrize(
+        "degree, kernel", [("0", ""), ("2", "x0*x1\n")], ids=["degree-0", "degree-2"]
+    )
+    def test_brute_many_variables(self, tmp_path, degree, kernel):
+        # one level per variable: far more than Python's recursion limit
+        n = 1200
+        names = " ".join(f"x{i}" for i in range(n))
+        weights = " ".join(["1", "-1"] + ["2"] * (n - 2))
+        path = problem(tmp_path, f"vars: {names}\nweights: {weights}\n")
+        code, out, err = run_cli("kernel", "--file", path, "--brute", degree)
+        assert code == 0 and err == ""
+        assert out == f"command: kernel --brute {degree}\n1\n{kernel}"
+
+    @pytest.mark.parametrize(
         "mode", [("--in-B",), ("--brute", "3"), ()], ids=["in-B", "brute", "default"]
     )
     def test_uvars_only_with_localized(self, hyperbolic, mode):
