@@ -19,7 +19,6 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Sequence
@@ -35,7 +34,7 @@ from .derivation import (
     scalar_multiple_semisimple,
 )
 from .kernel import brute_force_kernel, kernel_generators_localized, kernel_in_B
-from .laurent import LaurentPoly, ParseError, RingCtx, _accumulate, parse
+from .laurent import LaurentPoly, ParseError, RingCtx, parse
 from .slices import build_slice
 
 EXIT_OK = 0
@@ -218,10 +217,7 @@ def _leibniz_samples(problem: Problem) -> list[LaurentPoly]:
     if len(problem.queries) >= 2:
         return list(problem.queries)
     variables = [LaurentPoly.variable(problem.ctx, i) for i in range(problem.ctx.n)]
-    total: dict[tuple[int, ...], Fraction | int] = {}
-    for v in variables:
-        _accumulate(total, v.terms.items())
-    return variables + [LaurentPoly._trusted(problem.ctx, total)]
+    return variables + [LaurentPoly.sum(problem.ctx, variables)]
 
 
 def cmd_check_leibniz(problem: Problem) -> Report:

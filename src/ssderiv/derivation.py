@@ -11,15 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Sequence, Union
 
-from .laurent import LaurentPoly, RingCtx, _accumulate, _canon
-
-
-def _dot(exps: Sequence[int], weights: Sequence[int]) -> int:
-    """The weight <exps, weights> of a monomial."""
-    return sum(map(mul, exps, weights))
+from .laurent import LaurentPoly, RingCtx
 
 
 @dataclass
@@ -38,12 +33,7 @@ class WeightDecomposition:
         return tuple(self.components)
 
     def recombine(self, ctx: RingCtx) -> LaurentPoly:
-        total: dict[tuple[int, ...], Fraction | int] = {}
-        for component in self.components.values():
-            if component.ctx != ctx:
-                raise ValueError("context mismatch")
-            _accumulate(total, component.terms.items())
-        return LaurentPoly._trusted(ctx, total)
+        return LaurentPoly.sum(ctx, self.components.values())
 
 
 @dataclass(frozen=True)
@@ -54,7 +44,7 @@ class DiagonalDerivation:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        weights = tuple(int(w) for w in self.weights)
+        weights = tuple(map(index, self.weights))
         object.__setattr__(self, "weights", weights)
         if len(weights) != self.ctx.n:
             raise ValueError(f"expected {self.ctx.n} weights, got {len(weights)}")
@@ -63,7 +53,8 @@ class DiagonalDerivation:
         return not any(self.weights)
 
     def term_weight(self, exps: Sequence[int]) -> int:
-        return _dot(exps, self.weights)
+        """The weight <exps, weights> of a monomial."""
+        return sum(map(mul, exps, self.weights))
 
     def _require_ctx(self, p: LaurentPoly) -> None:
         if p.ctx != self.ctx:
@@ -72,19 +63,12 @@ class DiagonalDerivation:
     def apply(self, p: LaurentPoly) -> LaurentPoly:
         """Each term c*x^a maps to <a, weights> * c * x^a; weight-0 terms vanish."""
         self._require_ctx(p)
-        return LaurentPoly._trusted(
-            p.ctx, {e: _canon(c * w) for e, c in p.terms.items() if (w := self.term_weight(e))}
-        )
+        return p.scale_by(self.term_weight)
 
     def weight_decompose(self, p: LaurentPoly) -> WeightDecomposition:
         """Group the terms of p by weight; the components are eigenvectors."""
         self._require_ctx(p)
-        buckets: dict[int, dict[tuple[int, ...], Fraction | int]] = {}
-        for exps, coeff in p.terms.items():
-            buckets.setdefault(self.term_weight(exps), {})[exps] = coeff
-        return WeightDecomposition(
-            {w: LaurentPoly._trusted(p.ctx, terms) for w, terms in sorted(buckets.items())}
-        )
+        return WeightDecomposition(dict(sorted(p.split(self.term_weight).items())))
 
     def semi_invariant_weight(self, p: LaurentPoly) -> int | None:
         """The weight w with D(p) = w*p, or None if p mixes weights."""
@@ -104,10 +88,8 @@ class DiagonalDerivation:
         decomposition = self.weight_decompose(p)
         if 0 in decomposition.components:
             return False, None
-        preimage: dict[tuple[int, ...], Fraction | int] = {}
-        for w, component in decomposition.components.items():
-            _accumulate(preimage, component.terms.items(), _canon(Fraction(1, w)))
-        return True, LaurentPoly._trusted(p.ctx, preimage)
+        parts = decomposition.components.items()
+        return True, LaurentPoly.sum(p.ctx, (part * Fraction(1, w) for w, part in parts))
 
     def __add__(self, other: "DiagonalDerivation") -> "DiagonalDerivation":
         if not isinstance(other, DiagonalDerivation):
@@ -143,14 +125,8 @@ class GeneralDerivation:
         """sum_i images[i] * dp/dx_i, valid for all integer exponents."""
         if p.ctx != self.ctx:
             raise ValueError("context mismatch")
-        total: dict[tuple[int, ...], Fraction | int] = {}
-        for i, image in enumerate(self.images):
-            if not image.is_zero():
-                _accumulate(total, (image * p.partial(i)).terms.items())
-        return LaurentPoly._trusted(self.ctx, total)
-
-
-Derivation = Union[DiagonalDerivation, GeneralDerivation]
+        summands = (img * p.partial(i) for i, img in enumerate(self.images) if not img.is_zero())
+        return LaurentPoly.sum(self.ctx, summands)
 
 
 def commutator(d1: GeneralDerivation, d2: GeneralDerivation) -> GeneralDerivation:
@@ -243,33 +219,32 @@ class _RowSpace:
     """Incremental exact row space over Q, coordinates indexed by monomials."""
 
     def __init__(self):
-        self.rows: list[tuple[tuple[int, ...], dict[tuple[int, ...], Fraction | int]]] = []
+        self.rows: list[tuple[tuple[int, ...], LaurentPoly]] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, p: LaurentPoly) -> dict[tuple[int, ...], Fraction | int]:
+    def _reduce(self, p: LaurentPoly) -> LaurentPoly:
         """The remainder of p after elimination against every stored row."""
-        vec = dict(p.terms)
         for pivot, row in self.rows:
-            c = vec.get(pivot)
+            c = p.terms.get(pivot)
             if c:
-                _accumulate(vec, row.items(), -c)
-        return vec
+                p = p + row * -c
+        return p
 
     def add(self, p: LaurentPoly) -> bool:
         """Reduce p against the space; returns True when the dimension grew."""
         vec = self._reduce(p)
-        if not vec:
+        if vec.is_zero():
             return False
-        pivot = max(vec)
-        inv = _canon(1 / Fraction(vec[pivot]))  # int / int would be a float
-        self.rows.append((pivot, {k: _canon(v * inv) for k, v in vec.items()}))
+        pivot = max(vec.terms)
+        # each row is monic at its pivot; int / int would be a float
+        self.rows.append((pivot, vec * (1 / Fraction(vec.terms[pivot]))))
         return True
 
     def contains(self, p: LaurentPoly) -> bool:
-        return not self._reduce(p)
+        return self._reduce(p).is_zero()
 
 
 def _monomial_chain_shift(chain: Sequence[LaurentPoly]) -> tuple[int, ...] | None:
@@ -298,7 +273,7 @@ def _certify_unbounded(d: GeneralDerivation, chain: Sequence[LaurentPoly]) -> tu
         return None
     n = d.ctx.n
     last = chain[-1].monomial_exponents()
-    coeffs: list[Fraction | int] = []
+    coeffs = []
     for j in range(n):
         image = d.images[j]
         if image.is_zero() or (last[j] == 0 and shift[j] == 0):

@@ -11,13 +11,12 @@ brute-force enumeration of that monoid serves as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from operator import ge
+from operator import ge, index
 from typing import Sequence
 
 from .derivation import DiagonalDerivation
-from .laurent import LaurentPoly, RingCtx, _accumulate
+from .laurent import LaurentPoly, RingCtx
 from .slices import verify_slice
 
 
@@ -97,7 +96,7 @@ def slice_coordinates(
     _require_slice(d, s)
     uctx = _default_uctx(d.ctx.n, unames)
     components = {
-        w: LaurentPoly._trusted(uctx, dict(component.terms))
+        w: LaurentPoly(uctx, component.terms)
         for w, component in d.weight_decompose(p).components.items()
     }
     return SliceCoordinates(uctx=uctx, components=components)
@@ -108,10 +107,8 @@ def reconstruct_from_slice_coordinates(
 ) -> LaurentPoly:
     """Inverse of slice_coordinates: substitute u_i -> x_i * s^(-w_i)."""
     u_images = _u_images(d, s)
-    total: dict[tuple[int, ...], Fraction | int] = {}
-    for w, component in coords.components.items():
-        _accumulate(total, (component.substitute(u_images) * s**w).terms.items())
-    return LaurentPoly._trusted(d.ctx, total)
+    parts = coords.components.items()
+    return LaurentPoly.sum(d.ctx, (part.substitute(u_images) * s**w for w, part in parts))
 
 
 def kernel_membership_localized(
@@ -155,7 +152,7 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
     coordinate and value, and u is compared only with the solutions whose
     i-th entry equals u[i].
     """
-    ws = tuple(int(w) for w in weights)
+    ws = tuple(map(index, weights))
     n = len(ws)
     if n == 0:
         raise ValueError("empty weight vector")
@@ -214,7 +211,7 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     w_last is 0, or there is one coordinate, the last coordinate is solved
     directly, by one divmod.
     """
-    ws = tuple(int(w) for w in weights)
+    ws = tuple(map(index, weights))
     n = len(ws)
     if n == 0:
         raise ValueError("empty weight vector")
@@ -242,7 +239,7 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     tops = [0] * n
     sums = [0] * n
     budgets = [0] * n
-    budgets[0] = int(degree)
+    budgets[0] = index(degree)
     j = 0
     while True:
         s, r = sums[j], budgets[j]

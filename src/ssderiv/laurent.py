@@ -12,8 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import add
-from typing import Iterator, Mapping, Sequence
+from operator import add, index
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -78,8 +78,10 @@ def _accumulate(acc: dict, terms, scale=None) -> None:
     polynomial; `scale`, when given, must be nonzero.  The coefficients of
     `terms` and `scale` must be canonical (see `_canon`); the results are
     too, and a sum or product of two `int`s never touches `fractions`.
-    This is the package's one term-merge loop: sums, products,
-    substitution, the parser and Gaussian reduction all run through it.
+    This is the package's one term-merge loop: `+`, `*`, `substitute`, the
+    parser and `LaurentPoly.sum` run through it.  Code outside this module
+    reaches it only through `LaurentPoly.sum` and the ring operations; the
+    finiteness probe's Gaussian reduction, for one, eliminates with `+`.
     """
     get = acc.get
     for key, coeff in terms:
@@ -105,12 +107,14 @@ class LaurentPoly:
     operations return fresh values, so sharing across threads is safe.
 
     The public constructor establishes the invariant from any `int` or
-    `Fraction` coefficients and raises TypeError for anything else, floats
-    included.  `_trusted` wraps a dict as it is and is for internal results
-    only: its callers must uphold the invariant, normalising with `_canon`
-    any value that came out of `Fraction` arithmetic, and hand over a dict
-    nothing else holds.  A division must go through `Fraction`: `int / int`
-    and `int ** -k` give floats.
+    `Fraction` coefficients and integer exponents, and raises TypeError for
+    anything else, floats included.  `_trusted` wraps a dict as it is and is
+    for this module only: its callers must uphold the invariant, normalising
+    with `_canon` any value that came out of `Fraction` arithmetic, and hand
+    over a dict nothing else holds.  A division must go through `Fraction`:
+    `int / int` and `int ** -k` give floats.  Other modules build results
+    with the public constructor, the ring operations, `sum`, `split` and
+    `scale_by`.
     """
 
     __slots__ = ("ctx", "terms")
@@ -119,7 +123,7 @@ class LaurentPoly:
         clean: dict[tuple[int, ...], Fraction | int] = {}
         if terms:
             for exps, coeff in terms.items():
-                key = tuple(int(e) for e in exps)
+                key = tuple(map(index, exps))
                 if len(key) != ctx.n:
                     raise ValueError(
                         f"exponent vector of length {len(key)} in a ring with {ctx.n} variables"
@@ -183,13 +187,6 @@ class LaurentPoly:
         if not self.is_monomial():
             raise ValueError("not a monomial")
         return next(iter(self.terms))
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction | int]]:
-        """Terms in canonical order: descending lexicographic exponent vectors."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], Fraction | int]]:
-        return iter(self.sorted_terms())
 
     # ------------------------------------------------------------------
     # ring operations
@@ -258,6 +255,33 @@ class LaurentPoly:
             if m:
                 base = base * base
         return result
+
+    @classmethod
+    def sum(cls, ctx: RingCtx, polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
+        """The sum of `polys`, all over ctx, in time linear in their terms."""
+        terms: dict[tuple[int, ...], Fraction | int] = {}
+        for p in polys:
+            if p.ctx != ctx:
+                raise ValueError("context mismatch")
+            if terms:
+                _accumulate(terms, p.terms.items())
+            else:  # the sum so far is zero
+                terms = dict(p.terms)
+        return cls._trusted(ctx, terms)
+
+    def split(self, key: Callable[[tuple[int, ...]], Hashable]) -> dict[Hashable, "LaurentPoly"]:
+        """Group the terms by `key(exps)`: maps each value that occurs to the
+        (nonzero) part of self whose terms give it; the parts sum to self."""
+        parts: dict = {}
+        for exps, coeff in self.terms.items():
+            parts.setdefault(key(exps), {})[exps] = coeff
+        return {k: LaurentPoly._trusted(self.ctx, terms) for k, terms in parts.items()}
+
+    def scale_by(self, factor: Callable[[tuple[int, ...]], int]) -> "LaurentPoly":
+        """Each term c*x^a times the integer factor(a); terms with factor 0 vanish."""
+        return LaurentPoly._trusted(
+            self.ctx, {e: _canon(c * f) for e, c in self.terms.items() if (f := factor(e))}
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 # Rational scalars are fractions.Fraction values: always in lowest terms with
@@ -46,7 +47,7 @@ def bezout_multi(weights: Sequence[int]) -> BezoutResult:
     one to x, where (g', x, y) = ext_gcd(w, g).  The fold order makes the
     coefficient list deterministic.
     """
-    ws = [int(w) for w in weights]
+    ws = list(map(index, weights))
     if not ws or all(w == 0 for w in ws):
         raise ValueError("gcd undefined for zero vector")
     coeffs = [0] * len(ws)

@@ -164,3 +164,21 @@ def minimal_nonzero(solutions) -> set[tuple[int, ...]]:
         if any(a) and not any(all(x >= y for x, y in zip(a, b)) for b in kept):
             kept.append(a)
     return set(kept)
+
+
+def combination_closure(gens, n: int, degree: int) -> set[tuple[int, ...]]:
+    """Every sum of the vectors `gens` (repeats allowed, the empty sum
+    included) of total degree at most `degree`, in n coordinates."""
+    zero = (0,) * n
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        grown = []
+        for v in frontier:
+            for g in gens:
+                u = tuple(a + b for a, b in zip(v, g))
+                if sum(u) <= degree and u not in seen:
+                    seen.add(u)
+                    grown.append(u)
+        frontier = grown
+    return seen

@@ -38,7 +38,13 @@ from ssderiv import (
 )
 from ssderiv.cli import main
 
-from helpers import random_poly, random_triangular_pair, random_weights
+from helpers import (
+    combination_closure,
+    minimal_nonzero,
+    random_poly,
+    random_triangular_pair,
+    random_weights,
+)
 
 CTX_XY = RingCtx(("x", "y"))
 
@@ -141,32 +147,6 @@ def test_criterion_5_slice_coordinate_roundtrip():
         assert reconstruct_from_slice_coordinates(d, s, coords) == p
 
 
-def _minimal_nonzero(solutions):
-    kept = []
-    for a in solutions:  # already sorted by (total degree, lex)
-        if not any(a):
-            continue
-        if not any(all(x >= y for x, y in zip(a, b)) for b in kept):
-            kept.append(a)
-    return kept
-
-
-def _combination_closure(gens, n, degree):
-    zero = (0,) * n
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        grown = []
-        for v in frontier:
-            for g in gens:
-                u = tuple(a + b for a, b in zip(v, g))
-                if sum(u) <= degree and u not in seen:
-                    seen.add(u)
-                    grown.append(u)
-        frontier = grown
-    return seen
-
-
 @criterion(6, "Hilbert basis equals brute-force oracle on the exhaustive sweep")
 def test_criterion_6_hilbert_vs_oracle_sweep():
     for n in (1, 2, 3):
@@ -176,9 +156,9 @@ def test_criterion_6_hilbert_vs_oracle_sweep():
             basis = hilbert_basis(ws).gens
             assert all(sum(a) <= bound for a in basis)
             solutions = weight_zero_exponents(ws, bound)
-            assert set(_minimal_nonzero(solutions)) == set(basis)
+            assert minimal_nonzero(solutions) == set(basis)
             # every brute-force solution is an N-combination of the basis
-            closure = _combination_closure(basis, n, bound)
+            closure = combination_closure(basis, n, bound)
             assert closure == set(solutions)
 
 

@@ -5,7 +5,8 @@ Integer arithmetic stays in the ints, so the places that can leave them are
 the divisions: a negative power of a monomial, the preimage under a diagonal
 derivation (1/w per weight w) and the pivot inverse of the finiteness
 probe's row space.  Each is checked here on integer input, as is the
-rejection of inexact coefficients at the public constructors.
+rejection of inexact coefficients at the public constructors and of
+non-integral exponents, weights and degrees.
 """
 
 from decimal import Decimal
@@ -20,8 +21,11 @@ from ssderiv import (
     GeneralDerivation,
     LaurentPoly,
     LocallyFinite,
+    bezout_multi,
+    hilbert_basis,
     local_finiteness_probe,
     parse,
+    weight_zero_exponents,
 )
 from ssderiv.derivation import _RowSpace
 
@@ -86,11 +90,11 @@ class TestFinitenessProbeRows:
         for text in ("2*y", "3*x + 2*y", "6*x^2 - 4*x + 2", "5*x^2"):
             space.add(parse(text, CTX_XY))
         assert space.dim == 4
-        entries = [v for _, row in space.rows for v in row.values()]
+        entries = [v for _, row in space.rows for v in row.terms.values()]
         assert {type(v) for v in entries} == {int, Fraction}
         for pivot, row in space.rows:
-            assert row[pivot] == 1 and type(row[pivot]) is int
-            assert_canonical(LaurentPoly._trusted(CTX_XY, row))
+            assert row.terms[pivot] == 1 and type(row.terms[pivot]) is int
+            assert_canonical(row)
         assert space.contains(parse("x^2 + 7*x - 1/3*y", CTX_XY))
 
 
@@ -104,6 +108,25 @@ class TestInexactCoefficientsRejected:
         with pytest.raises(TypeError):
             LaurentPoly.monomial(CTX_XY, (1, 0), bad)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LaurentPoly(CTX_XY, {(Fraction(3, 2), 0): 1}),
+            lambda: LaurentPoly(CTX_XY, {(1.5, 0): 1}),
+            lambda: LaurentPoly.monomial(CTX_XY, (2.9, "3")),
+            lambda: DiagonalDerivation(CTX_XY, (1.7, -1)),
+            lambda: hilbert_basis((1.5, -1)),
+            lambda: weight_zero_exponents((1.9, -1), 3),
+            lambda: weight_zero_exponents((1, -1), 2.5),
+            lambda: bezout_multi((2.5, 3)),
+        ],
+        ids=["exponent-fraction", "exponent-float", "monomial", "weights", "hilbert_basis",
+             "weight_zero_weights", "weight_zero_degree", "bezout_multi"],
+    )
+    def test_non_integral_exponents_weights_and_degrees(self, build):
+        with pytest.raises(TypeError):
+            build()
+
     def test_scalar_multiple(self):
         with pytest.raises(TypeError):
             parse("x", CTX_XY) * 0.5
@@ -112,6 +135,8 @@ class TestInexactCoefficientsRejected:
         p = LaurentPoly(CTX_XY, {(1, 0): Fraction(6, 3), (0, 1): True, (0, 0): Fraction(1, 2)})
         assert p.terms == {(1, 0): 2, (0, 1): 1, (0, 0): Fraction(1, 2)}
         assert_canonical(p)
+        assert_canonical(LaurentPoly(CTX_XY, {(True, 0): 1}))
+        assert DiagonalDerivation(CTX_XY, (True, -1)).weights == (1, -1)
         assert type(LaurentPoly.constant(CTX_XY, Fraction(4, 2)).terms[(0, 0)]) is int
         assert LaurentPoly.constant(CTX_XY, 3).constant_value() == 3
         assert type(LaurentPoly.constant(CTX_XY, 3).constant_value()) is Fraction
@@ -138,6 +163,6 @@ def test_division_sites_on_integer_input_are_exact(p, weights, unit, k):
     space = _RowSpace()
     for q in (p, preimage, unit**k):
         space.add(q)
-    results.extend(LaurentPoly._trusted(CTX_XYZ, row) for _, row in space.rows)
+    results.extend(row for _, row in space.rows)
     for result in results:
         assert_canonical(result)

@@ -4,11 +4,21 @@ of length ctx.n, nonzero exact values with one representation each (an `int`
 exactly when the value is integral, otherwise a `Fraction` with denominator
 > 1, never a float), and equal to a fully validated reconstruction of its
 own terms.  Half of the examples draw integer coefficients only, the case in
-which no arithmetic but a division may leave the integers."""
+which no arithmetic but a division may leave the integers.
+
+Only `laurent.py` may build a polynomial through the trusted constructor or
+touch the term-merge helpers; every other module goes through the public
+operations, which a static check of the package sources enforces."""
+
+import ast
+from functools import reduce
+from operator import add
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ssderiv
 from ssderiv import DiagonalDerivation, GeneralDerivation, LaurentPoly, RingCtx, parse
 
 from helpers import CTX_XY, CTX_XYZ, assert_canonical, either, monomials, polys, weight_vectors
@@ -84,3 +94,48 @@ def test_derivation_results_are_canonical(p, weights, a, b, c):
     assert hit
     assert_canonical(preimage)
     assert d.apply(preimage) == p - weight_zero
+
+    summands = [p, a, -p, b, c]
+    total = LaurentPoly.sum(CTX_XYZ, summands)
+    assert_canonical(total)
+    assert total == reduce(add, summands)
+    assert LaurentPoly.sum(CTX_XYZ, []) == LaurentPoly.zero(CTX_XYZ)
+
+    parts = p.split(lambda e: (e[0] - e[2]) % 3)
+    seen = set()
+    for key, part in parts.items():
+        assert_canonical(part)
+        assert not part.is_zero()
+        assert all((e[0] - e[2]) % 3 == key for e in part.terms)
+        assert seen.isdisjoint(part.terms)
+        seen.update(part.terms)
+    assert LaurentPoly.sum(CTX_XYZ, parts.values()) == p
+
+    scaled = p.scale_by(d.term_weight)
+    assert_canonical(scaled)
+    assert scaled == d.apply(p)
+    assert scaled == LaurentPoly(CTX_XYZ, {e: c * d.term_weight(e) for e, c in p.terms.items()})
+
+
+def test_only_laurent_touches_the_term_format():
+    """No module but laurent.py imports a private name from `.laurent` or
+    names `_trusted`, `_accumulate` or `_canon`; no test does either."""
+    private = {"_trusted", "_accumulate", "_canon"}
+    package = Path(ssderiv.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 1
+    offences = []
+    for path in [*sources, *sorted(Path(__file__).parent.glob("*.py"))]:
+        if path == package / "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("laurent"):
+                names = [a.name for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr] if node.attr in private else []
+            elif isinstance(node, ast.Name):
+                names = [node.id] if node.id in private else []
+            else:
+                continue
+            offences += [(path.name, node.lineno, name) for name in names]
+    assert offences == []
