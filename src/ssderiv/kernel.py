@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import ge, index
+from operator import ge, index, itemgetter
 from typing import Sequence
 
 from .derivation import DiagonalDerivation
@@ -139,10 +139,13 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
 
     Breadth-first completion from the unit vectors (Contejean and Devie): a
     frontier vector may grow by +e_i only when that moves its weight toward
-    zero, solutions are recorded level by level, and any candidate dominating
-    a recorded solution componentwise is pruned.  Because levels are
-    exhausted in order of total degree, recorded solutions are automatically
-    minimal.  Output is sorted by total degree, then lexicographically.
+    zero, so a vector of positive weight grows only along the coordinates of
+    negative weight and one of negative weight only along those of positive
+    weight; zero-weight coordinates are never grown.  Solutions are recorded
+    level by level, and any candidate dominating a recorded solution
+    componentwise is pruned.  Because levels are exhausted in order of total
+    degree, recorded solutions are automatically minimal.  Output is sorted
+    by total degree, then lexicographically.
 
     The domination test is indexed.  A candidate u = v + e_i grows a frontier
     vector v that survived pruning, so no solution recorded before v's level
@@ -150,12 +153,16 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
     degree, and v is not a solution.  Hence a solution b <= u has
     b[i] == u[i], since otherwise b <= v.  The basis is kept indexed by
     coordinate and value, and u is compared only with the solutions whose
-    i-th entry equals u[i].
+    i-th entry equals u[i].  Every candidate is marked seen before that
+    test, so a pruned one reached again along another path is not retested.
     """
     ws = tuple(map(index, weights))
     n = len(ws)
     if n == 0:
         raise ValueError("empty weight vector")
+    # the coordinates that raise, and those that lower, the weight
+    up = [(i, x) for i, x in enumerate(ws) if x > 0]
+    down = [(i, x) for i, x in enumerate(ws) if x < 0]
     basis: list[tuple[int, ...]] = []
     by_entry: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(n)]
     # each frontier vector travels with its weight <v, ws>
@@ -170,17 +177,16 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
         for v, w in level:
             if w == 0:
                 continue
-            for i in range(n):
-                if ws[i] * w >= 0:
-                    continue
+            for i, x in down if w > 0 else up:
                 u = v[:i] + (v[i] + 1,) + v[i + 1 :]
                 if u in seen:
                     continue
-                below = by_entry[i].get(u[i])
-                if below and any(all(map(ge, u, b)) for b in below):
-                    continue
                 seen.add(u)
-                frontier.append((u, w + ws[i]))
+                for b in by_entry[i].get(u[i], ()):
+                    if all(map(ge, u, b)):
+                        break
+                else:
+                    frontier.append((u, w + x))
         level = frontier
     return HilbertBasis(tuple(basis))
 
@@ -192,13 +198,18 @@ def kernel_in_B(d: DiagonalDerivation) -> list[LaurentPoly]:
 
 def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int, ...]]:
     """All a >= 0 with total degree <= degree and <a, weights> = 0, sorted by
-    total degree then lexicographically; includes the zero vector.
+    total degree then lexicographically in the caller's coordinates;
+    includes the zero vector.
 
     Exact for any int weights and any number of coordinates: a depth-first
     walk over the coordinates in Python ints, iterative rather than
-    recursive.  With partial weight s and degree budget r left, the next
-    coordinate j takes only the values k for which the weights the remaining
-    coordinates can still reach with budget r - k, the interval
+    recursive.  The walk visits the coordinates in order of decreasing
+    |weight| (a stable sort), so the two solved in closed form at the bottom
+    carry the smallest weights, which have the most solutions per branch;
+    one itemgetter maps each solution back to the caller's order.  With
+    partial weight s and degree budget r left, the next coordinate j takes
+    only the values k for which the weights the remaining coordinates can
+    still reach with budget r - k, the interval
     [s + k*w_j + (r-k)*min(0, suffix), s + k*w_j + (r-k)*max(0, suffix)],
     contains 0; two floor divisions give that range of k.  The walk only
     skips branches that cannot reach weight 0, so it lists every solution
@@ -210,11 +221,24 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     |w_last| / gcd(w_pen, w_last), found with a modular inverse.  When
     w_last is 0, or there is one coordinate, the last coordinate is solved
     directly, by one divmod.
+
+    Solutions are collected in a dict keyed by their total degree; each
+    bucket is sorted and the buckets are joined in increasing degree.
+    Nothing is allocated per unit of the degree bound, so a huge bound with
+    few solutions costs no memory.
     """
-    ws = tuple(map(index, weights))
-    n = len(ws)
+    given = tuple(map(index, weights))
+    n = len(given)
     if n == 0:
         raise ValueError("empty weight vector")
+    # walk order: coordinates by decreasing |weight|; back[i] is where the
+    # caller's coordinate i sits in the walk
+    order = sorted(range(n), key=lambda i: -abs(given[i]))
+    ws = [given[i] for i in order]
+    back = [0] * n
+    for position, i in enumerate(order):
+        back[i] = position
+    restore = itemgetter(*back) if n > 1 else tuple
     # lows[j], highs[j]: least and greatest weight per unit of degree that
     # coordinates j.. can add, counting the option of adding nothing
     lows = [0] * (n + 1)
@@ -230,7 +254,9 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     # k == (-s/g) * inverse modulo step
     step = abs(w_last) // g if w_last else 0
     inverse = pow(w_pen // g, -1, step) if step > 1 else 0
-    solutions: list[tuple[int, ...]] = []
+    degree = index(degree)
+    # total degree -> the solutions of that degree, in caller order
+    buckets: dict[int, list[tuple[int, ...]]] = {}
     prefix = [0] * n
     # the walk keeps its path in arrays, not on the call stack, so any
     # number of coordinates works: before coordinate j the partial weight is
@@ -239,7 +265,7 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     tops = [0] * n
     sums = [0] * n
     budgets = [0] * n
-    budgets[0] = index(degree)
+    budgets[0] = degree
     j = 0
     while True:
         s, r = sums[j], budgets[j]
@@ -248,38 +274,47 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
                 if s == 0:
                     for k in range(r + 1):
                         prefix[last] = k
-                        solutions.append(tuple(prefix))
+                        buckets.setdefault(degree - r + k, []).append(restore(prefix))
             else:
                 k, rest = divmod(-s, w_last)
                 if not rest and 0 <= k <= r:
                     prefix[last] = k
-                    solutions.append(tuple(prefix))
+                    buckets.setdefault(degree - r + k, []).append(restore(prefix))
         else:
             w, low, high = ws[j], lows[j + 1], highs[j + 1]
             k_min, k_max = 0, r
             # lowest reachable weight s + r*low + k*(w - low) must be <= 0
             base, slope = s + r * low, w - low
             if slope > 0:
-                k_max = min(k_max, -base // slope)
+                top = -base // slope
+                if top < k_max:
+                    k_max = top
             elif slope < 0:
-                k_min = max(k_min, -(-base // -slope))
+                bottom = -(-base // -slope)
+                if bottom > k_min:
+                    k_min = bottom
             elif base > 0:
                 k_max = -1
             # highest reachable weight s + r*high + k*(w - high) must be >= 0
             base, slope = s + r * high, w - high
             if slope > 0:
-                k_min = max(k_min, -(base // slope))
+                bottom = -(base // slope)
+                if bottom > k_min:
+                    k_min = bottom
             elif slope < 0:
-                k_max = min(k_max, base // -slope)
+                top = base // -slope
+                if top < k_max:
+                    k_max = top
             elif base < 0:
                 k_max = -1
             if j == last - 1 and w_last:
                 if not s % g:
+                    used = degree - r
                     first = k_min + ((-s // g) * inverse - k_min) % step
                     for k in range(first, k_max + 1, step):
                         prefix[j] = k
-                        prefix[last] = (-s - k * w) // w_last
-                        solutions.append(tuple(prefix))
+                        m = prefix[last] = (-s - k * w) // w_last
+                        buckets.setdefault(used + k + m, []).append(restore(prefix))
             elif k_min <= k_max:
                 prefix[j], tops[j] = k_min, k_max
                 sums[j + 1], budgets[j + 1] = s + k_min * w, r - k_min
@@ -295,9 +330,8 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
         sums[j + 1], budgets[j + 1] = sums[j] + k * ws[j], budgets[j] - k
         j += 1
 
-    # the walk emits lexicographic order; a stable sort by degree keeps it
-    solutions.sort(key=sum)
-    return solutions
+    # the walk order is not the caller's, so each bucket is sorted on its own
+    return [a for total in sorted(buckets) for a in sorted(buckets[total])]
 
 
 def brute_force_kernel(d: DiagonalDerivation, degree: int) -> list[tuple[int, ...]]:

@@ -27,16 +27,25 @@ class BezoutResult:
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: (g, x, y) with a*x + b*y == g and g == gcd(|a|, |b|).
 
-    Classical recursion on nonnegative remainders, so the coefficients are a
-    deterministic function of the input.
+    Classical Euclid on nonnegative remainders (b is made nonnegative first,
+    and y negated back at the end), so the coefficients are a deterministic
+    function of the input.  The loop carries the coefficients of the two
+    latest remainders forward, which gives the same (x, y) as the textbook
+    recursion but takes no stack per step, so weights of any size work.
     """
-    if b < 0:
-        g, x, y = ext_gcd(a, -b)
-        return g, x, -y
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
+    flip = b < 0
+    if flip:
+        b = -b
+    # a == x0*a_in + y0*|b_in| and b == x1*a_in + y1*|b_in| throughout
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, -y0 if flip else y0
 
 
 def bezout_multi(weights: Sequence[int]) -> BezoutResult:

@@ -157,6 +157,28 @@ def reference_hilbert_basis(weights) -> tuple[tuple[int, ...], ...]:
     return tuple(basis)
 
 
+def reference_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """The textbook recursive extended Euclid that ssderiv.ext_gcd replaces:
+    one call per Euclid step, so it needs a stack as deep as the input is
+    long.  ext_gcd must return the same (g, x, y) on every input."""
+    if b < 0:
+        g, x, y = reference_ext_gcd(a, -b)
+        return g, x, -y
+    if b == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g, x, y = reference_ext_gcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def fibonacci_pair(k: int) -> tuple[int, int]:
+    """(F(k), F(k + 1)): consecutive Fibonacci numbers, the inputs that take
+    Euclid the most steps for their size."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a, b
+
+
 def minimal_nonzero(solutions) -> set[tuple[int, ...]]:
     """The nonzero vectors of a solution list that dominate no other one."""
     kept = []

@@ -12,6 +12,8 @@ import pytest
 
 from ssderiv.cli import main
 
+from helpers import fibonacci_pair
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -44,6 +46,16 @@ def problem(tmp_path, text, name="problem.txt"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# 335-digit weights: Euclid takes ~1600 steps on consecutive Fibonacci numbers
+F1601, F1602 = fibonacci_pair(1601)
+FIBONACCI_WEIGHTS = (F1601, -F1602)
+
+
+@pytest.fixture
+def fibonacci(tmp_path):
+    return problem(tmp_path, "vars: x y\nweights: %d %d\n" % FIBONACCI_WEIGHTS)
 
 
 class TestDecompose:
@@ -100,6 +112,13 @@ class TestSlice:
             "warning: action factors through t -> t^2\n"
         )
 
+    def test_huge_weights(self, fibonacci):
+        code, out, err = run_cli("slice", "--file", fibonacci)
+        assert code == 0 and err == ""
+        (m_line,) = [line for line in out.splitlines() if line.startswith("m: ")]
+        m = [int(e) for e in m_line[3:].split()]
+        assert sum(e * w for e, w in zip(m, FIBONACCI_WEIGHTS)) == 1
+
     def test_zero_derivation_is_input_error(self, tmp_path):
         path = problem(tmp_path, "vars: x y\nweights: 0 0\n")
         code, _, err = run_cli("slice", "--file", path)
@@ -118,6 +137,11 @@ class TestKernel:
         code, out, _ = run_cli("kernel", "--file", path, "--in-B")
         assert code == 0
         assert out == "command: kernel --in-B\n(constants only)\n"
+
+    def test_localized_huge_weights(self, fibonacci):
+        code, out, err = run_cli("kernel", "--file", fibonacci, "--localized")
+        assert code == 0 and err == ""
+        assert out.startswith("command: kernel --localized\ns: ")
 
     def test_localized(self, coprime):
         code, out, _ = run_cli("kernel", "--file", coprime, "--localized")

@@ -277,17 +277,35 @@ def test_generators_satisfy_the_lambert_bound(ws):
         assert sum(e for e, w in zip(a, ws) if w < 0) <= top_positive
 
 
-@given(
-    st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(-5, 5), min_size=n, max_size=n)),
-    st.integers(0, 6),
-)
-@example([3], 0)
-@example([0], 4)
-@example([-2], 6)
-@example([0, 0, 0], 3)
-@example([0, 2, -1], 5)
-@example([4, 4, -2, -2], 6)
-def test_oracle_matches_direct_enumeration(ws, degree):
+# largest degree per vector length n that keeps the (degree + 1)^n grid of
+# the direct enumeration at most 5^6 = 15625 points
+_GRID_DEGREE = {1: 6, 2: 6, 3: 6, 4: 6, 5: 5, 6: 4}
+
+
+@st.composite
+def enumerable_cases(draw):
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        # few distinct |w|, often of both signs: ties in the oracle's walk order
+        pool = draw(st.lists(st.integers(0, 5), min_size=1, max_size=2))
+        ws = [draw(st.sampled_from(pool)) * draw(st.sampled_from((1, -1))) for _ in range(n)]
+    else:
+        ws = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    return ws, draw(st.integers(0, _GRID_DEGREE[n]))
+
+
+@given(enumerable_cases())
+@example(([3], 0))
+@example(([0], 4))
+@example(([-2], 6))
+@example(([0, 0, 0], 3))
+@example(([0, 2, -1], 5))
+@example(([4, 4, -2, -2], 6))
+@example(([3, -3, 3, -3], 6))
+@example(([0, 2, 0, -1, 0], 5))
+@example(([1, -1, 2, -2, 3, -3], 3))
+def test_oracle_matches_direct_enumeration(case):
+    ws, degree = case
     expected = sorted(
         (
             a
@@ -308,11 +326,23 @@ def test_oracle_matches_completion_at_the_lambert_degree(ws):
     assert minimal_nonzero(solutions) == set(hilbert_basis(ws).gens)
 
 
+def test_lambert_degree_sweep_n4():
+    """Every weight vector in [-4, 4]^4: the oracle's minimal nonzero
+    solutions at the Lambert degree are exactly the completion's output."""
+    for ws in product(range(-4, 5), repeat=4):
+        solutions = weight_zero_exponents(ws, _lambert_degree(ws))
+        assert minimal_nonzero(solutions) == set(hilbert_basis(ws).gens), ws
+
+
 class TestExactForLargeWeights:
     def test_oracle_does_not_wrap(self):
         assert weight_zero_exponents((2**62, 2**62), 4) == [(0, 0)]
         assert weight_zero_exponents((2**63, -(2**63)), 4) == [(0, 0), (1, 1), (2, 2)]
         assert weight_zero_exponents((3 * 2**70, -(2**71), 5), 5) == [(0, 0, 0), (2, 3, 0)]
+
+    def test_oracle_allocates_nothing_per_unit_of_degree(self):
+        assert weight_zero_exponents((2, 2), 10**12) == [(0, 0)]
+        assert weight_zero_exponents((10**6, -1), 10**6 + 1) == [(0, 0), (1, 10**6)]
 
     def test_completion_does_not_wrap(self):
         assert hilbert_basis((2**62, 2**62)).gens == ()

@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ssderiv import BezoutResult, bezout_multi, ext_gcd
+
+from helpers import fibonacci_pair, reference_ext_gcd
 
 
 def test_bezout_pair_examples():
@@ -44,6 +46,31 @@ def test_ext_gcd_identity(a, b):
     g, x, y = ext_gcd(a, b)
     assert g == math.gcd(a, b)
     assert a * x + b * y == g
+
+
+@given(
+    st.one_of(st.integers(-40, 40), st.integers(-(10**30), 10**30)),
+    st.one_of(st.integers(-40, 40), st.integers(-(10**30), 10**30)),
+)
+@example(0, 0)
+@example(-7, 0)
+@example(0, -7)
+@example(-12, -18)
+@example(2**64 + 1, -(2**63))
+def test_ext_gcd_matches_the_recursive_reference(a, b):
+    assert ext_gcd(a, b) == reference_ext_gcd(a, b)
+
+
+def test_ext_gcd_needs_no_stack_per_step():
+    # 335-digit consecutive Fibonacci numbers take ~1600 Euclid steps, more
+    # than the default recursion limit allows a recursive version
+    a, b = fibonacci_pair(1601)
+    g, x, y = ext_gcd(a, -b)
+    assert g == 1 and a * x - b * y == 1
+    assert bezout_multi((a, -b)).g == 1
+    # ~500 steps still fit the reference's stack
+    a, b = fibonacci_pair(500)
+    assert ext_gcd(a, -b) == reference_ext_gcd(a, -b)
 
 
 def test_rational_scalars_are_canonical():
