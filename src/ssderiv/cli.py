@@ -35,6 +35,7 @@ from .derivation import (
 )
 from .kernel import brute_force_kernel, kernel_generators_localized, kernel_in_B
 from .laurent import LaurentPoly, ParseError, RingCtx, parse
+from .numtheory import decimal_to_int, int_to_decimal
 from .slices import build_slice
 
 EXIT_OK = 0
@@ -115,7 +116,7 @@ def load_problem(path: str | Path) -> Problem:
 
     lineno, raw_weights = entries["weights"][0]
     try:
-        weights = tuple(int(w) for w in raw_weights.split())
+        weights = tuple(map(decimal_to_int, raw_weights.split()))
     except ValueError:
         raise InputError(f"{path}:{lineno}: weights must be integers") from None
     if len(weights) != ctx.n:
@@ -164,18 +165,21 @@ def cmd_decompose(problem: Problem, expr: str | None) -> Report:
     if not decomposition.components:
         report.lines.append("(zero polynomial)")
     else:
-        report.lines.extend(f"{w}: {c}" for w, c in decomposition.components.items())
+        report.lines.extend(
+            f"{int_to_decimal(w)}: {c}" for w, c in decomposition.components.items()
+        )
     return report
 
 
 def cmd_slice(problem: Problem) -> Report:
     data = build_slice(problem.diagonal)
     report = Report(command="slice")
-    report.lines.append(f"g: {data.g}")
-    report.lines.append("m: " + " ".join(str(m) for m in data.m))
+    g = int_to_decimal(data.g)
+    report.lines.append(f"g: {g}")
+    report.lines.append("m: " + " ".join(map(int_to_decimal, data.m)))
     report.lines.append(f"s: {data.s}")
     report.lines.append(f"f: {data.f}")
-    report.lines.append("D(s) = s" if data.g == 1 else f"D(s) = {data.g}*s")
+    report.lines.append("D(s) = s" if data.g == 1 else f"D(s) = {g}*s")
     if data.warning:
         report.warnings.append(data.warning)
     return report

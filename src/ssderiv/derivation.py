@@ -81,15 +81,17 @@ class DiagonalDerivation:
     def image_decompose(self, p: LaurentPoly) -> tuple[bool, LaurentPoly | None]:
         """Decide p in D(B) and produce a preimage.
 
-        p lies in the image exactly when its weight-0 component vanishes; the
-        preimage divides each weight-w component by w.  In particular nonzero
-        constants are never hit, so the image is a proper subspace.
+        p lies in the image exactly when no term of p has weight 0; then the
+        preimage divides each term c*x^a by its weight <a, weights>, in one
+        pass over the terms, and (False, None) is returned as soon as a
+        weight-0 term turns up.  In particular nonzero constants are never
+        hit, so the image is a proper subspace.
         """
-        decomposition = self.weight_decompose(p)
-        if 0 in decomposition.components:
+        self._require_ctx(p)
+        try:
+            return True, p.divide_by(self.term_weight)
+        except ZeroDivisionError:  # a term of weight 0
             return False, None
-        parts = decomposition.components.items()
-        return True, LaurentPoly.sum(p.ctx, (part * Fraction(1, w) for w, part in parts))
 
     def __add__(self, other: "DiagonalDerivation") -> "DiagonalDerivation":
         if not isinstance(other, DiagonalDerivation):

@@ -1,4 +1,5 @@
-"""Exact integer helpers: rational scalars and multi-integer Bezout coefficients."""
+"""Exact integer helpers: rational scalars, multi-integer Bezout coefficients,
+and decimal conversions with no digit limit."""
 
 from __future__ import annotations
 
@@ -73,3 +74,43 @@ def bezout_multi(weights: Sequence[int]) -> BezoutResult:
             coeffs[j] *= y
         coeffs[i] = x
     return BezoutResult(g, tuple(coeffs))
+
+
+# CPython refuses int <-> str conversions beyond sys.get_int_max_str_digits()
+# digits (4300 by default) with a ValueError.  The two conversions below give
+# the exact result at any size without touching that process-wide setting:
+# below the limit they are plain str/int, above it they split the number at a
+# power of ten and convert the halves.
+
+
+def int_to_decimal(n: int) -> str:
+    """Decimal text of the integer n: `str(n)` at any number of digits."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than the interpreter converts at once
+        pass
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits; log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(k)
+
+
+def decimal_to_int(text: str) -> int:
+    """The integer `int(text)` reads, at any number of digits.
+
+    A literal longer than the interpreter converts at once must be an
+    optional sign and ASCII digits, with surrounding whitespace allowed;
+    anything `int` rejects for another reason raises its ValueError.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        sign = body[:1] if body[:1] in ("+", "-") else ""
+        digits = body[len(sign):]
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    k = len(digits) // 2
+    value = decimal_to_int(digits[:-k]) * 10**k + decimal_to_int(digits[-k:])
+    return -value if sign == "-" else value

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .derivation import DiagonalDerivation
 from .laurent import LaurentPoly
-from .numtheory import bezout_multi
+from .numtheory import bezout_multi, int_to_decimal
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def build_slice(d: DiagonalDerivation) -> SliceData:
     s = LaurentPoly.monomial(d.ctx, bez.coeffs)
     f = LaurentPoly.monomial(d.ctx, tuple(-m if m < 0 else 0 for m in bez.coeffs))
     assert d.apply(s) == s * bez.g
-    warning = None if bez.g == 1 else f"action factors through t -> t^{bez.g}"
+    warning = None if bez.g == 1 else f"action factors through t -> t^{int_to_decimal(bez.g)}"
     return SliceData(g=bez.g, m=bez.coeffs, s=s, f=f, warning=warning)
 
 

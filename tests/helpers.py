@@ -26,10 +26,13 @@ def coefficients(integer: bool = False):
     return st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
-def polys(ctx: RingCtx, max_terms: int = 8, exp_bound: int = 5, integer: bool = False):
+def polys(
+    ctx: RingCtx, max_terms: int = 8, exp_bound: int = 5, integer: bool = False, min_terms: int = 0
+):
     return st.dictionaries(
         exponent_vectors(ctx.n, exp_bound),
-        coefficients(integer),
+        coefficients(integer).filter(bool) if min_terms else coefficients(integer),
+        min_size=min_terms,
         max_size=max_terms,
     ).map(lambda terms: LaurentPoly(ctx, terms))
 
@@ -126,6 +129,63 @@ def random_triangular_pair(rng: random.Random, ctx: RingCtx, steps: int = 2, exp
         phi = [p.substitute(tau) for p in phi]
         psi = [t.substitute(psi) for t in tau_inv]
     return phi, psi
+
+
+def reference_substitute(p: LaurentPoly, images) -> LaurentPoly:
+    """Substitution as it was before unit images became exponent shifts:
+    every term multiplies out img**e for each of its variables, computed
+    afresh, and adds the product into the result.  Same results and the
+    same errors as LaurentPoly.substitute."""
+    if len(images) != p.ctx.n:
+        raise ValueError(f"expected {p.ctx.n} images, got {len(images)}")
+    target = images[0].ctx
+    for img in images:
+        if img.ctx != target:
+            raise ValueError("context mismatch")
+    total = LaurentPoly.zero(target)
+    for exps, coeff in p.terms.items():
+        term = LaurentPoly.constant(target, 1)
+        for img, e in zip(images, exps):
+            if e:
+                term = term * img**e
+        total = total + term * coeff
+    return total
+
+
+def reference_str(p: LaurentPoly) -> str:
+    """The printer as it was before its per-call factor tables: it rebuilds
+    every factor text for every term.  Uses plain `str` on integers, so it
+    covers coefficients and exponents below the interpreter's digit limit."""
+    if not p.terms:
+        return "0"
+    names = p.ctx.names
+    out = []
+    for exps, coeff in sorted(p.terms.items(), reverse=True):
+        num, den = coeff.numerator, coeff.denominator
+        if num < 0:
+            out.append(" - " if out else "-")
+            num = -num
+        elif out:
+            out.append(" + ")
+        factors = "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e])
+        if factors and num == 1 and den == 1:
+            out.append(factors)
+            continue
+        out.append(str(num) if den == 1 else f"{num}/{den}")
+        if factors:
+            out.append("*" + factors)
+    return "".join(out)
+
+
+def reference_image_decompose(d: DiagonalDerivation, p: LaurentPoly):
+    """The preimage as it was computed before the one-pass division: split p
+    into weight components, refuse a weight-0 one, and sum each weight-w
+    component times 1/w."""
+    decomposition = d.weight_decompose(p)
+    if 0 in decomposition.components:
+        return False, None
+    parts = decomposition.components.items()
+    return True, LaurentPoly.sum(p.ctx, (part * Fraction(1, w) for w, part in parts))
 
 
 def reference_hilbert_basis(weights) -> tuple[tuple[int, ...], ...]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ssderiv.cli import main
+from ssderiv.numtheory import decimal_to_int, int_to_decimal
 
 from helpers import fibonacci_pair
 
@@ -69,6 +70,14 @@ class TestDecompose:
         assert code == 0
         assert out == "command: decompose y^-2\n2: y^-2\n"
 
+    def test_coefficient_beyond_the_digit_limit(self, coprime):
+        code, out, err = run_cli("decompose", "--file", coprime, "--expr=3^10000*x")
+        assert code == 0 and err == ""
+        first, second = out.splitlines()
+        coefficient = first.removeprefix("command: decompose ").removesuffix("*x")
+        assert decimal_to_int(coefficient) == 3**10000
+        assert second == f"2: {coefficient}*x"
+
     def test_zero_polynomial(self, hyperbolic):
         code, out, _ = run_cli("decompose", "--file", hyperbolic, "--expr", "0")
         assert code == 0
@@ -118,6 +127,20 @@ class TestSlice:
         (m_line,) = [line for line in out.splitlines() if line.startswith("m: ")]
         m = [int(e) for e in m_line[3:].split()]
         assert sum(e * w for e, w in zip(m, FIBONACCI_WEIGHTS)) == 1
+
+    def test_weights_beyond_the_digit_limit(self, tmp_path):
+        w = int_to_decimal(3**10000)
+        path = problem(tmp_path, f"vars: x y\nweights: {w} -{w}\n")
+        code, out, err = run_cli("slice", "--file", path)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[1] == f"g: {w}"
+        assert lines[2] == "m: 1 0"
+        assert lines[5] == f"D(s) = {w}*s"
+        assert lines[6] == f"warning: action factors through t -> t^{w}"
+        code, out, err = run_cli("decompose", "--file", path, "--expr", "x - y")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [f"-{w}: -y", f"{w}: x"]
 
     def test_zero_derivation_is_input_error(self, tmp_path):
         path = problem(tmp_path, "vars: x y\nweights: 0 0\n")

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,24 @@ class TestFormat:
     )
     def test_coefficient_shapes(self, terms, text):
         assert str(LaurentPoly(CTX_XYZ, terms)) == text
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            LaurentPoly(CTX_XY, {(1, 0): 3**10000}),
+            parse("1" * 20000 + "*x - " + "9" * 5000 + "/" + "7" * 4301 + "*y^-1", CTX_XY),
+            LaurentPoly(CTX_XY, {(10**5000, -(10**4300)): -1, (0, 0): -(2**20000)}),
+        ],
+    )
+    def test_integers_beyond_the_digit_limit_round_trip(self, p):
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        assert parse(str(p), CTX_XY) == p
+        assert get_limit() == limit
+
+    def test_long_literal_parses_exactly(self):
+        p = parse("1" * 5000 + "*x", CTX_XY)
+        assert p.terms == {(1, 0): (10**5000 - 1) // 9}
 
 
 class TestSubstitute:

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ssderiv import BezoutResult, bezout_multi, ext_gcd
+from ssderiv.numtheory import decimal_to_int, int_to_decimal
 
 from helpers import fibonacci_pair, reference_ext_gcd
 
@@ -81,3 +84,61 @@ def test_rational_scalars_are_canonical():
     assert negative.denominator > 0 and negative == Fraction(-1, 2)
     with pytest.raises(ZeroDivisionError):
         Fraction(1, 3) / Fraction(0)
+
+
+CHUNK = 10**100  # 100 digits: far below any digit limit CPython allows
+
+
+def chunked_decimal(n: int) -> str:
+    """Decimal text of n, converted 100 digits at a time."""
+    if n < 0:
+        return "-" + chunked_decimal(-n)
+    chunks = []
+    while n >= CHUNK:
+        n, low = divmod(n, CHUNK)
+        chunks.append(str(low).zfill(100))
+    return str(n) + "".join(reversed(chunks))
+
+
+def chunked_int(digits: str) -> int:
+    """The integer of a string of ASCII digits, read 100 digits at a time."""
+    value = 0
+    for start in range(0, len(digits), 100):
+        chunk = digits[start : start + 100]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def digit_limit():
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+@pytest.mark.parametrize("length", [1, 2, 640, 4299, 4300, 4301, 8601, 20000])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_decimal_conversions_at_any_length(length, sign):
+    limit = digit_limit()
+    rng = random.Random(length)
+    digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=length - 1))
+    n = chunked_int(digits) * (-1 if sign else 1)
+    assert decimal_to_int(sign + digits) == n
+    assert int_to_decimal(n) == sign + digits == chunked_decimal(n)
+    assert decimal_to_int(f" +{digits}\n") == abs(n)
+    assert digit_limit() == limit
+
+
+@given(st.integers(min_value=-(10**5000), max_value=10**5000))
+@example(3**10000)
+@example(-(10**4300))
+@example(10**4300 - 1)
+@example(0)
+def test_decimal_conversions_round_trip(n):
+    text = int_to_decimal(n)
+    assert text == chunked_decimal(n)
+    assert decimal_to_int(text) == n
+
+
+@pytest.mark.parametrize("text", ["", "-", "12a", "1.5", "x" * 5000, "1" * 5000 + "x", "--" + "1" * 5000])
+def test_decimal_to_int_rejects_what_int_rejects(text):
+    with pytest.raises(ValueError):
+        decimal_to_int(text)

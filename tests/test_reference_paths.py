@@ -1,0 +1,128 @@
+"""Differential tests: `substitute`, `__str__` and `image_decompose` must
+give exactly what the reference versions in helpers.py give, results and
+errors alike."""
+
+from fractions import Fraction
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from ssderiv import DiagonalDerivation, LaurentPoly, parse
+
+from helpers import (
+    CTX_X,
+    CTX_XY,
+    CTX_XYZ,
+    assert_canonical,
+    monomials,
+    polys,
+    reference_image_decompose,
+    reference_str,
+    reference_substitute,
+    weight_vectors,
+)
+
+CONTEXTS = (CTX_X, CTX_XY, CTX_XYZ)
+HUGE = 10**60 + 7  # far beyond 64 bits, well below the int <-> str digit limit
+
+
+def outcome(call, *args):
+    """The value of call(*args), or the type and text of its ValueError."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def images_in(target):
+    """Units (coefficients +-1, other ints and Fractions), zero, or
+    polynomials with up to three terms."""
+    return st.one_of(
+        monomials(target, exp_bound=2),
+        monomials(target, exp_bound=2, integer=True),
+        st.just(LaurentPoly.zero(target)),
+        polys(target, max_terms=3, exp_bound=2),
+    )
+
+
+@st.composite
+def substitutions(draw):
+    source = draw(st.sampled_from(CONTEXTS))
+    target = draw(st.sampled_from(CONTEXTS))
+    p = draw(polys(source, max_terms=6, exp_bound=3))
+    images = draw(st.lists(images_in(target), min_size=source.n, max_size=source.n))
+    return p, images
+
+
+def xyz(*texts):
+    return [parse(text, CTX_XYZ) for text in texts]
+
+
+@given(substitutions())
+# mixed unit and non-unit images; z^1 and z^2 need two powers of one image
+@example((parse("3*x^2*y^-1*z + x*z^2 - 1/2*y + 4", CTX_XYZ), xyz("x + y", "2*x*y^-1", "z - 1")))
+# zero images: a positive power is zero, a negative power is not a unit
+@example((parse("x^2*y + y", CTX_XY), [LaurentPoly.zero(CTX_XY), parse("y", CTX_XY)]))
+@example((parse("x^-1 + y", CTX_XY), [LaurentPoly.zero(CTX_XY), parse("y", CTX_XY)]))
+@example((parse("x*y^-1", CTX_XY), [LaurentPoly.zero(CTX_XY), parse("x + 1", CTX_XY)]))
+@example((parse("x^-1*y", CTX_XY), [parse("x", CTX_XY), LaurentPoly.zero(CTX_XY)]))
+# units with coefficients other than +-1 under negative exponents
+@example((parse("x^-3*y^-1 + 5*x^-1*y^2", CTX_XY), [parse("3*y", CTX_XY), parse("-3/2*x", CTX_XY)]))
+@example((parse("x^-2*y^-3", CTX_XY), [parse("-1*x", CTX_XY), parse("-y^2", CTX_XY)]))
+# images in another ring
+@example((parse("x^2*y^-1 - x + 7", CTX_XY), xyz("x*z", "y^-1*z^2")))
+@example((parse("x*y^-1 + y", CTX_XY), [parse("x + 1", CTX_X), parse("2*x^3", CTX_X)]))
+# exponents +-1, constant terms and constant images
+@example((parse("x + x^-1 + y - y^-1 + 2", CTX_XY), [parse("7", CTX_XY), parse("-2/3", CTX_XY)]))
+# coefficients +-1, Fractions and huge integers
+@example(
+    (
+        LaurentPoly(CTX_XY, {(1, 0): 1, (0, 1): -1, (1, 1): Fraction(5, 3), (2, -1): -HUGE}),
+        [parse("x + y", CTX_XY), parse("x*y^2", CTX_XY)],
+    )
+)
+def test_substitute_matches_reference(case):
+    p, images = case
+    got = outcome(p.substitute, images)
+    assert got == outcome(reference_substitute, p, images)
+    if isinstance(got, LaurentPoly):
+        assert_canonical(got)
+
+
+# polynomials of _TABLE_MIN_TERMS (32) terms and more print through tables
+@given(
+    st.sampled_from(CONTEXTS).flatmap(lambda ctx: polys(ctx, max_terms=10))
+    | st.sampled_from((CTX_XY, CTX_XYZ)).flatmap(
+        lambda ctx: polys(ctx, min_terms=32, max_terms=48, exp_bound=3)
+    )
+)
+@example(parse("x^-1*y^-12*z - x^2*y^-1 + 3*z^-5 - 7/4*x*y*z - 1", CTX_XYZ))
+@example(parse("(x - y^-1 + 2*z^-3 - 1/2)^4", CTX_XYZ))  # 35 terms
+@example(parse("-x - y^-1 + z", CTX_XYZ))
+@example(LaurentPoly(CTX_XY, {(0, 0): -HUGE, (1, -1): HUGE, (3, 0): Fraction(HUGE, 3)}))
+@example(LaurentPoly(CTX_X, {(-(10**30),): 2, (10**30,): Fraction(-1, 2)}))
+@example(LaurentPoly.zero(CTX_X))
+def test_str_matches_reference(p):
+    text = str(p)
+    assert text == reference_str(p)
+    assert parse(text, p.ctx) == p
+
+
+@given(
+    st.sampled_from(CONTEXTS).flatmap(
+        lambda ctx: st.tuples(polys(ctx, max_terms=10), weight_vectors(ctx.n, bound=4))
+    )
+)
+@example((parse("x*y + x", CTX_XY), (1, -1)))  # x*y has weight 0
+@example((parse("3*x - 4*y + 5*x^2*y - 1/2*x^-1", CTX_XY), (2, -3)))
+@example((parse("6*x^2 - HUGE*y".replace("HUGE", str(HUGE)), CTX_XY), (3, 1)))
+@example((LaurentPoly.zero(CTX_XY), (0, 0)))
+@example((parse("1", CTX_X), (5,)))
+def test_image_decompose_matches_reference(case):
+    p, weights = case
+    d = DiagonalDerivation(p.ctx, weights)
+    hit, preimage = d.image_decompose(p)
+    assert (hit, preimage) == reference_image_decompose(d, p)
+    if hit:
+        assert_canonical(preimage)
+        assert d.apply(preimage) == p
