@@ -196,7 +196,8 @@ def cmd_kernel_localized(problem: Problem, uvars: str | None) -> Report:
     data = build_slice(d)
     if data.g != 1:
         raise InputError(
-            f"no slice exists: gcd of weights is {data.g}, localized kernel needs D(s) = s"
+            f"no slice exists: gcd of weights is {int_to_decimal(data.g)},"
+            " localized kernel needs D(s) = s"
         )
     generators = kernel_generators_localized(d, data.s, _parse_uvars(uvars))
     report = Report(command="kernel --localized")

@@ -81,8 +81,7 @@ def _accumulate(acc: dict, terms, scale=None) -> None:
     `terms` and `scale` must be canonical (see `_canon`); the results are
     too, and a sum or product of two `int`s never touches `fractions`.
     This is the package's one term-merge loop: `+`, `*`, `substitute`, the
-    parser and `LaurentPoly.sum` run through it, or through `_add_term`, its
-    form for a single term.  Code outside this module
+    parser and `LaurentPoly.sum` run through it.  Code outside this module
     reaches it only through `LaurentPoly.sum` and the ring operations; the
     finiteness probe's Gaussian reduction, for one, eliminates with `+`.
     """
@@ -99,21 +98,6 @@ def _accumulate(acc: dict, terms, scale=None) -> None:
         acc[key] = coeff if type(coeff) is int else _canon(coeff)
 
 
-def _add_term(acc: dict, key: tuple[int, ...], coeff: Fraction | int) -> None:
-    """`_accumulate(acc, ((key, coeff),))` for a single term, without the
-    loop: add the canonical nonzero `coeff` at `key`, dropping it on
-    cancellation."""
-    old = acc.get(key)
-    if old is None:
-        acc[key] = coeff
-        return
-    coeff = old + coeff
-    if coeff:
-        acc[key] = coeff if type(coeff) is int else _canon(coeff)
-    else:
-        del acc[key]
-
-
 class _FactorText(dict):
     """Exponent -> printed factor of one variable, "" for exponent 0, each
     text built the first time its exponent is looked up.  Created as
@@ -127,11 +111,12 @@ class _FactorText(dict):
         return text
 
 
-# Per-call factor tables pay for themselves only once exponents repeat.  On
-# random polynomials in 3, 4 and 7 variables with exponents in [-2, 3],
-# printing through them ran at 0.6-0.8x the speed of formatting each factor
-# at 4 terms, ~0.95x at 16, 1.06-1.09x at 32 and 1.2-1.3x at 64-128 terms.
-# Monomials, the bulk of kernel output, are printed without them.
+# Per-call factor tables pay for themselves only once exponents repeat.  In
+# the `algebra` benchmark, where almost every printed polynomial has fewer
+# than 24 terms or at least 64, they raise jobs/s by ~6%.  Built for every
+# call, they make the small polynomials of `monoid` and `cli`, mostly kernel
+# monomials, print about 2x slower.  Smaller polynomials are formatted
+# factor by factor.
 _TABLE_MIN_TERMS = 32
 
 
@@ -417,7 +402,7 @@ class LaurentPoly:
                 coeff = _canon(coeff)
             key = tuple(shift)
             if product is None:
-                _add_term(total, key, coeff)
+                _accumulate(total, ((key, coeff),))
             elif any(shift):
                 _accumulate(
                     total, ((tuple(map(add, a, key)), c) for a, c in product.terms.items()), coeff
@@ -600,7 +585,7 @@ class _Parser:
         scale = num if den == 1 else _canon(Fraction(num, den))
         key = tuple(exps)
         if poly is None:
-            _add_term(total, key, scale)
+            _accumulate(total, ((key, scale),))
         else:
             _accumulate(total, ((tuple(map(add, e, key)), c) for e, c in poly.terms.items()), scale)
 

@@ -141,6 +141,11 @@ class TestSlice:
         code, out, err = run_cli("decompose", "--file", path, "--expr", "x - y")
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == [f"-{w}: -y", f"{w}: x"]
+        code, out, err = run_cli("kernel", "--file", path, "--localized")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: no slice exists: gcd of weights is {w}, localized kernel needs D(s) = s\n"
+        )
 
     def test_zero_derivation_is_input_error(self, tmp_path):
         path = problem(tmp_path, "vars: x y\nweights: 0 0\n")
