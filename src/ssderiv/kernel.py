@@ -11,8 +11,9 @@ brute-force enumeration of that monoid serves as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
-from operator import ge, index, itemgetter
+from operator import index, itemgetter
 from typing import Sequence
 
 from .derivation import DiagonalDerivation
@@ -155,40 +156,88 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
     coordinate and value, and u is compared only with the solutions whose
     i-th entry equals u[i].  Every candidate is marked seen before that
     test, so a pruned one reached again along another path is not retested.
+
+    Each vector is packed into one Python int, coordinate 0 in the most
+    significant field, so int order is the lexicographic order of the
+    vectors.  A field holds values up to L + 1, where L = max w+ + max |w-|
+    (the largest positive weight plus the largest |negative weight|, each 0
+    where there is none), and has one guard bit above them.  Growing by e_i
+    adds the int with a 1 in field i, and seen holds ints.  u dominates b
+    exactly when ((u | G) - b) & G == G, G the mask of all guard bits: field
+    i of u | G is u[i] plus the guard bit, which exceeds b[i], so no borrow
+    crosses a field and the guard bit survives exactly when u[i] >= b[i].
+    The index keys on field i masked in place, u & mask_i, which saves the
+    shift to u[i].  Only the finished basis is unpacked.
+
+    Why L + 1 suffices: follow the growth path e_j = v_1, v_2, ..., v_k = v
+    of a frontier vector v of nonzero weight, each v_t a vector of degree t
+    that survived pruning and was grown.  A weight 0 < x <= max w+ grows by
+    some w_i in [-max |w-|, -1], to a weight in [-max |w-| + 1, max w+ - 1],
+    and a negative weight symmetrically, so every <v_t, w> lies in
+    [-max |w-|, max w+], and none is 0: a zero-weight vector is recorded,
+    not grown.  They are pairwise distinct.  If <v_s, w> = <v_t, w> with
+    s < t, then v_t - v_s >= 0 is a nonzero solution of degree t - s < t,
+    so some minimal solution b <= v_t of degree < t is recorded before
+    level t (the completion finds every minimal solution), and v_t, which
+    dominates b, would have been pruned.  That interval without 0 holds L
+    integers, so k <= L: a frontier vector has degree at most L, a
+    candidate at most L + 1, and no entry of either exceeds L + 1.
+
+    The last few results are cached, keyed by the weights as ints, so
+    kernel_in_B, or any caller that asks again for weights it just passed,
+    gets the same frozen result without a second completion.  Invalid
+    weights are rejected before the cache and raise on every call.
     """
     ws = tuple(map(index, weights))
-    n = len(ws)
-    if n == 0:
+    if not ws:
         raise ValueError("empty weight vector")
-    # the coordinates that raise, and those that lower, the weight
-    up = [(i, x) for i, x in enumerate(ws) if x > 0]
-    down = [(i, x) for i, x in enumerate(ws) if x < 0]
-    basis: list[tuple[int, ...]] = []
-    by_entry: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(n)]
+    return _hilbert_completion(ws)
+
+
+@lru_cache(maxsize=16)
+def _hilbert_completion(ws: tuple[int, ...]) -> HilbertBasis:
+    """hilbert_basis on a nonempty tuple of ints, on packed vectors."""
+    n = len(ws)
+    # L of the docstring: no entry of a vector in the search exceeds L + 1
+    top = max(0, *ws) + max(0, *(-x for x in ws))
+    bits = (top + 1).bit_length()
+    field = (1 << bits) - 1
+    shifts = [(bits + 1) * (n - 1 - i) for i in range(n)]
+    units = [1 << s for s in shifts]
+    guards = sum(unit << bits for unit in units)
+    masks = [field << s for s in shifts]
+    # by_entry[i] maps field i, masked in place, to the solutions that have it
+    by_entry: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    # the coordinates that raise, and those that lower, the weight, each with
+    # its unit, field mask, entry index and weight
+    up = [(units[i], masks[i], by_entry[i], x) for i, x in enumerate(ws) if x > 0]
+    down = [(units[i], masks[i], by_entry[i], x) for i, x in enumerate(ws) if x < 0]
+    basis: list[int] = []
     # each frontier vector travels with its weight <v, ws>
-    level = [(tuple(1 if j == i else 0 for j in range(n)), ws[i]) for i in range(n)]
+    level = list(zip(units, ws))
     seen = {v for v, _ in level}
     while level:
         for b in sorted(v for v, w in level if w == 0):
             basis.append(b)
-            for i, x in enumerate(b):
-                by_entry[i].setdefault(x, []).append(b)
+            for mask, entries in zip(masks, by_entry):
+                entries.setdefault(b & mask, []).append(b)
         frontier = []
         for v, w in level:
             if w == 0:
                 continue
-            for i, x in down if w > 0 else up:
-                u = v[:i] + (v[i] + 1,) + v[i + 1 :]
+            for unit, mask, entries, x in down if w > 0 else up:
+                u = v + unit
                 if u in seen:
                     continue
                 seen.add(u)
-                for b in by_entry[i].get(u[i], ()):
-                    if all(map(ge, u, b)):
+                guarded = u | guards
+                for b in entries.get(u & mask, ()):
+                    if (guarded - b) & guards == guards:
                         break
                 else:
                     frontier.append((u, w + x))
         level = frontier
-    return HilbertBasis(tuple(basis))
+    return HilbertBasis(tuple(tuple((b >> s) & field for s in shifts) for b in basis))
 
 
 def kernel_in_B(d: DiagonalDerivation) -> list[LaurentPoly]:
@@ -336,6 +385,7 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
 
 def brute_force_kernel(d: DiagonalDerivation, degree: int) -> list[tuple[int, ...]]:
     """Exhaustive oracle for the weight-zero monoid, up to a degree bound."""
+    degree = index(degree)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     return weight_zero_exponents(d.weights, degree)

@@ -22,6 +22,7 @@ from ssderiv import (
     LaurentPoly,
     LocallyFinite,
     bezout_multi,
+    brute_force_kernel,
     hilbert_basis,
     local_finiteness_probe,
     parse,
@@ -118,10 +119,13 @@ class TestInexactCoefficientsRejected:
             lambda: hilbert_basis((1.5, -1)),
             lambda: weight_zero_exponents((1.9, -1), 3),
             lambda: weight_zero_exponents((1, -1), 2.5),
+            lambda: brute_force_kernel(DiagonalDerivation(CTX_XY, (1, -1)), 2.5),
+            lambda: brute_force_kernel(DiagonalDerivation(CTX_XY, (1, -1)), -0.5),
             lambda: bezout_multi((2.5, 3)),
         ],
         ids=["exponent-fraction", "exponent-float", "monomial", "weights", "hilbert_basis",
-             "weight_zero_weights", "weight_zero_degree", "bezout_multi"],
+             "weight_zero_weights", "weight_zero_degree", "brute_force_degree",
+             "brute_force_negative_degree", "bezout_multi"],
     )
     def test_non_integral_exponents_weights_and_degrees(self, build):
         with pytest.raises(TypeError):

@@ -22,6 +22,7 @@ from ssderiv import (
     slice_coordinates,
     weight_zero_exponents,
 )
+from ssderiv.kernel import _hilbert_completion
 
 from helpers import (
     CTX_XY,
@@ -176,6 +177,33 @@ class TestHilbertBasis:
         assert gens == tuple(sorted(gens, key=lambda a: (sum(a), a)))
 
 
+class TestCompletionCache:
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="empty weight vector"):
+                hilbert_basis(())
+            with pytest.raises(TypeError):
+                hilbert_basis((1.5, -1))
+
+    def test_bool_weights_are_read_as_ints(self):
+        assert hilbert_basis((True, -1)) == hilbert_basis([1, -1]) == hilbert_basis((1, -1))
+
+    def test_kernel_in_B_matches_hilbert_basis(self):
+        for ws in ((1, -1), (2, -3, 0), (3, -2, 1, -5), (0, 0)):
+            ctx = RingCtx(tuple(f"x{i}" for i in range(len(ws))))
+            gens = hilbert_basis(ws).gens
+            assert kernel_in_B(DiagonalDerivation(ctx, ws)) == [
+                LaurentPoly.monomial(ctx, a) for a in gens
+            ]
+
+    def test_results_stay_correct_past_the_cache_size(self):
+        maxsize = _hilbert_completion.cache_info().maxsize
+        # 3 * maxsize distinct weight vectors, so each pass evicts every entry
+        cases = [(k, -1 - k % 5, k % 3 - 1) for k in range(1, 3 * maxsize + 1)]
+        for ws in cases + cases[::-1] + cases:
+            assert hilbert_basis(ws).gens == reference_hilbert_basis(ws)
+
+
 class TestBruteForce:
     def test_small_cases(self):
         assert brute_force_kernel(d((1, -1)), 4) == [(0, 0), (1, 1), (2, 2)]
@@ -262,6 +290,14 @@ def _lambert_degree(ws):
 @example((5, 5, 5, 5, 5, 5, -1))
 @example((12, -12, 12))
 @example((1, 2, 3, -4, -5, -6))
+# L = max w+ + max |w-|, or a generator entry, at or next to a power of two,
+# where a packed field one bit too narrow would overflow
+@example((1, -7))
+@example((1, -8))
+@example((7, -8))
+@example((15, -16))
+@example((1, -16, 0))
+@example((2**63, -(2**63), 2**63))
 def test_completion_matches_unindexed_reference(ws):
     assert hilbert_basis(ws).gens == reference_hilbert_basis(ws)
 
