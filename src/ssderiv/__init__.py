@@ -23,13 +23,13 @@ from .kernel import (
     hilbert_basis,
     kernel_generators_localized,
     kernel_in_B,
-    kernel_membership_localized,
+    lambert_degree,
     reconstruct_from_slice_coordinates,
     slice_coordinates,
     weight_zero_exponents,
 )
 from .laurent import LaurentPoly, ParseError, RingCtx, parse
-from .numtheory import BezoutResult, Rat, bezout_multi, ext_gcd
+from .numtheory import BezoutResult, bezout_multi, ext_gcd
 from .slices import SliceData, build_slice, faithfulness_index, verify_slice
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "LocallyFinite",
     "NotLocallyFinite",
     "ParseError",
-    "Rat",
     "RingCtx",
     "SliceCoordinates",
     "SliceData",
@@ -62,7 +61,7 @@ __all__ = [
     "hilbert_basis",
     "kernel_generators_localized",
     "kernel_in_B",
-    "kernel_membership_localized",
+    "lambert_degree",
     "local_finiteness_probe",
     "parse",
     "reconstruct_from_slice_coordinates",

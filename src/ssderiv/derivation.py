@@ -193,10 +193,16 @@ def scalar_multiple_semisimple(a: LaurentPoly, d: DiagonalDerivation) -> bool:
 
 @dataclass(frozen=True)
 class LocallyFinite:
-    """Certificate: per generator, a D-stable spanning set for its iterates."""
+    """Certificate: per generator, a D-stable spanning set for its iterates.
 
-    span_dims: tuple[int, ...]
+    Every iterate in a span grew the row space by one, so each span is a
+    basis and its length is the dimension."""
+
     spans: tuple[tuple[LaurentPoly, ...], ...]
+
+    @property
+    def span_dims(self) -> tuple[int, ...]:
+        return tuple(map(len, self.spans))
 
 
 @dataclass(frozen=True)
@@ -313,7 +319,6 @@ def local_finiteness_probe(d: GeneralDerivation, bound: int) -> FinitenessVerdic
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    dims: list[int] = []
     spans: list[tuple[LaurentPoly, ...]] = []
     pending: list[tuple[int, list[LaurentPoly]]] = []
     for i in range(d.ctx.n):
@@ -329,11 +334,10 @@ def local_finiteness_probe(d: GeneralDerivation, bound: int) -> FinitenessVerdic
                 break
         if stabilized:
             spans.append(tuple(chain[:-1]))
-            dims.append(space.dim)
         else:
             pending.append((i, chain))
     if not pending:
-        return LocallyFinite(tuple(dims), tuple(spans))
+        return LocallyFinite(tuple(spans))
     for i, chain in pending:
         shift = _certify_unbounded(d, chain)
         if shift is not None:

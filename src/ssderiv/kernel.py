@@ -112,14 +112,6 @@ def reconstruct_from_slice_coordinates(
     return LaurentPoly.sum(d.ctx, (part.substitute(u_images) * s**w for w, part in parts))
 
 
-def kernel_membership_localized(
-    d: DiagonalDerivation, s: LaurentPoly, p: LaurentPoly
-) -> bool:
-    """p lies in the kernel exactly when every term has weight zero."""
-    _require_slice(d, s)
-    return all(d.term_weight(exps) == 0 for exps in p.terms)
-
-
 def fraction_kernel_element(
     d: DiagonalDerivation, s: LaurentPoly, b: LaurentPoly
 ) -> LaurentPoly:
@@ -133,6 +125,19 @@ def fraction_kernel_element(
 
 # ----------------------------------------------------------------------
 # the weight-zero monoid in the polynomial ring
+
+
+def lambert_degree(weights: Sequence[int]) -> int:
+    """L = max(1, max w+ + max |w-|), each max 0 where there is none.
+
+    No minimal nonzero solution of <a, weights> = 0 has a larger total
+    degree (J.-L. Lambert, C. R. Acad. Sci. Paris 1987), so the oracle up to
+    degree L finds the whole Hilbert basis; hilbert_basis sizes its packed
+    fields from L."""
+    ws = tuple(map(index, weights))
+    if not ws:
+        raise ValueError("empty weight vector")
+    return max(1, max(0, *ws) + max(0, *(-x for x in ws)))
 
 
 def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
@@ -159,15 +164,16 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
 
     Each vector is packed into one Python int, coordinate 0 in the most
     significant field, so int order is the lexicographic order of the
-    vectors.  A field holds values up to L + 1, where L = max w+ + max |w-|
-    (the largest positive weight plus the largest |negative weight|, each 0
-    where there is none), and has one guard bit above them.  Growing by e_i
-    adds the int with a 1 in field i, and seen holds ints.  u dominates b
-    exactly when ((u | G) - b) & G == G, G the mask of all guard bits: field
-    i of u | G is u[i] plus the guard bit, which exceeds b[i], so no borrow
-    crosses a field and the guard bit survives exactly when u[i] >= b[i].
-    The index keys on field i masked in place, u & mask_i, which saves the
-    shift to u[i].  Only the finished basis is unpacked.
+    vectors.  A field holds values up to L + 1, where L = lambert_degree(ws)
+    = max(1, max w+ + max |w-|) (the largest positive weight plus the
+    largest |negative weight|, each 0 where there is none), and has one
+    guard bit above them.  Growing by e_i adds the int with a 1 in field i,
+    and seen holds ints.  u dominates b exactly when ((u | G) - b) & G == G,
+    G the mask of all guard bits: field i of u | G is u[i] plus the guard
+    bit, which exceeds b[i], so no borrow crosses a field and the guard bit
+    survives exactly when u[i] >= b[i].  The index keys on field i masked in
+    place, u & mask_i, which saves the shift to u[i].  Only the finished
+    basis is unpacked.
 
     Why L + 1 suffices: follow the growth path e_j = v_1, v_2, ..., v_k = v
     of a frontier vector v of nonzero weight, each v_t a vector of degree t
@@ -179,9 +185,10 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
     s < t, then v_t - v_s >= 0 is a nonzero solution of degree t - s < t,
     so some minimal solution b <= v_t of degree < t is recorded before
     level t (the completion finds every minimal solution), and v_t, which
-    dominates b, would have been pruned.  That interval without 0 holds L
-    integers, so k <= L: a frontier vector has degree at most L, a
-    candidate at most L + 1, and no entry of either exceeds L + 1.
+    dominates b, would have been pruned.  That interval without 0 holds
+    max w+ + max |w-| <= L integers, so k <= L: a frontier vector has degree
+    at most L, a candidate at most L + 1, and no entry of either exceeds
+    L + 1.
 
     The last few results are cached, keyed by the weights as ints, so
     kernel_in_B, or any caller that asks again for weights it just passed,
@@ -198,9 +205,8 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
 def _hilbert_completion(ws: tuple[int, ...]) -> HilbertBasis:
     """hilbert_basis on a nonempty tuple of ints, on packed vectors."""
     n = len(ws)
-    # L of the docstring: no entry of a vector in the search exceeds L + 1
-    top = max(0, *ws) + max(0, *(-x for x in ws))
-    bits = (top + 1).bit_length()
+    # no entry of a vector in the search exceeds L + 1
+    bits = (lambert_degree(ws) + 1).bit_length()
     field = (1 << bits) - 1
     shifts = [(bits + 1) * (n - 1 - i) for i in range(n)]
     units = [1 << s for s in shifts]
@@ -280,6 +286,9 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     n = len(given)
     if n == 0:
         raise ValueError("empty weight vector")
+    degree = index(degree)
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     # walk order: coordinates by decreasing |weight|; back[i] is where the
     # caller's coordinate i sits in the walk
     order = sorted(range(n), key=lambda i: -abs(given[i]))
@@ -303,7 +312,6 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     # k == (-s/g) * inverse modulo step
     step = abs(w_last) // g if w_last else 0
     inverse = pow(w_pen // g, -1, step) if step > 1 else 0
-    degree = index(degree)
     # total degree -> the solutions of that degree, in caller order
     buckets: dict[int, list[tuple[int, ...]]] = {}
     prefix = [0] * n
@@ -385,7 +393,4 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
 
 def brute_force_kernel(d: DiagonalDerivation, degree: int) -> list[tuple[int, ...]]:
     """Exhaustive oracle for the weight-zero monoid, up to a degree bound."""
-    degree = index(degree)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
     return weight_zero_exponents(d.weights, degree)

@@ -4,7 +4,6 @@ and decimal conversions with no digit limit."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 from typing import Sequence
 
@@ -14,7 +13,6 @@ from typing import Sequence
 # never touches fractions, and a Fraction with denominator > 1 otherwise (see
 # laurent.LaurentPoly).  A division goes through Fraction, since int / int
 # and int ** -k give floats.
-Rat = Fraction
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,12 @@ class TestApply:
     def test_inverse_monomial(self):
         assert D_HYP.apply(X**-1) == -(X**-1)
 
+    def test_kernel_membership(self):
+        assert D_HYP.apply(X * Y).is_zero()
+        assert not D_HYP.apply(X).is_zero()
+        d = DiagonalDerivation(CTX_XY, (2, -3))
+        assert d.apply(parse("x^3*y^2 + 7", CTX_XY)).is_zero()
+
     def test_general_derivation_on_variable(self):
         assert DELTA.apply(X) == parse("x^2*y", CTX_XY)
 

@@ -84,7 +84,7 @@ class TestFinitenessProbeRows:
         d = GeneralDerivation(CTX_XY, (parse("2*y", CTX_XY), parse("3*x", CTX_XY)))
         verdict = local_finiteness_probe(d, 6)
         x, y = LaurentPoly.variable(CTX_XY, 0), LaurentPoly.variable(CTX_XY, 1)
-        assert verdict == LocallyFinite((2, 2), ((x, 2 * y), (y, 3 * x)))
+        assert verdict == LocallyFinite(((x, 2 * y), (y, 3 * x)))
 
     def test_row_entries_are_int_or_fraction(self):
         space = _RowSpace()
@@ -119,13 +119,14 @@ class TestInexactCoefficientsRejected:
             lambda: hilbert_basis((1.5, -1)),
             lambda: weight_zero_exponents((1.9, -1), 3),
             lambda: weight_zero_exponents((1, -1), 2.5),
+            lambda: weight_zero_exponents((1, -1), -0.5),
             lambda: brute_force_kernel(DiagonalDerivation(CTX_XY, (1, -1)), 2.5),
             lambda: brute_force_kernel(DiagonalDerivation(CTX_XY, (1, -1)), -0.5),
             lambda: bezout_multi((2.5, 3)),
         ],
         ids=["exponent-fraction", "exponent-float", "monomial", "weights", "hilbert_basis",
-             "weight_zero_weights", "weight_zero_degree", "brute_force_degree",
-             "brute_force_negative_degree", "bezout_multi"],
+             "weight_zero_weights", "weight_zero_degree", "weight_zero_negative_degree",
+             "brute_force_degree", "brute_force_negative_degree", "bezout_multi"],
     )
     def test_non_integral_exponents_weights_and_degrees(self, build):
         with pytest.raises(TypeError):

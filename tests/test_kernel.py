@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +20,7 @@ from ssderiv import (
     hilbert_basis,
     kernel_generators_localized,
     kernel_in_B,
-    kernel_membership_localized,
+    lambert_degree,
     parse,
     reconstruct_from_slice_coordinates,
     slice_coordinates,
@@ -110,23 +114,6 @@ class TestSliceCoordinates:
             assert reconstruct_from_slice_coordinates(dd, s, coords) == p
 
 
-class TestMembership:
-    def test_examples(self):
-        assert kernel_membership_localized(d((1, -1)), X, X * Y)
-        assert not kernel_membership_localized(d((1, -1)), X, X)
-        assert kernel_membership_localized(
-            d((2, -3)), parse("x^2*y", CTX_XY), parse("x^3*y^2 + 7", CTX_XY)
-        )
-
-    def test_matches_annihilation(self):
-        rng = random.Random(92)
-        dd = d((2, -3))
-        s = parse("x^2*y", CTX_XY)
-        for _ in range(200):
-            p = random_poly(rng, CTX_XY)
-            assert kernel_membership_localized(dd, s, p) == dd.apply(p).is_zero()
-
-
 class TestFractionKernelElement:
     def test_examples(self):
         assert fraction_kernel_element(d((1, -1)), X, Y) == X * Y
@@ -182,6 +169,8 @@ class TestCompletionCache:
         for _ in range(3):
             with pytest.raises(ValueError, match="empty weight vector"):
                 hilbert_basis(())
+            with pytest.raises(ValueError, match="empty weight vector"):
+                lambert_degree(())
             with pytest.raises(TypeError):
                 hilbert_basis((1.5, -1))
 
@@ -213,6 +202,8 @@ class TestBruteForce:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             brute_force_kernel(d((1, -1)), -1)
+        with pytest.raises(ValueError, match=">= 0"):
+            weight_zero_exponents((1, -1), -1)
 
     def test_matches_direct_enumeration(self):
         ws = (2, -3, 1)
@@ -247,16 +238,6 @@ class TestKernelInB:
                     assert dd.apply(a * b).is_zero()
 
 
-def test_oracle_agrees_with_completion_small_sample():
-    rng = random.Random(95)
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        ws = tuple(rng.randint(-4, 4) for _ in range(n))
-        bound = max(1, n * max(abs(w) for w in ws) * (max(abs(w) for w in ws) + 1))
-        solutions = weight_zero_exponents(ws, bound)
-        assert minimal_nonzero(solutions) == set(hilbert_basis(ws).gens)
-
-
 # ----------------------------------------------------------------------
 # the indexed completion and the depth-first oracle against references
 
@@ -274,12 +255,6 @@ def capped_weights(draw, min_n=1, max_n=7, top=12):
         pool = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=3))
         return tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     return tuple(draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)))
-
-
-def _lambert_degree(ws):
-    """Max positive weight plus max |negative weight|, at least 1: no minimal
-    solution has a larger total degree (Lambert 1987)."""
-    return max(1, max(0, *ws) + max(0, *(-w for w in ws)))
 
 
 @settings(max_examples=200)
@@ -311,6 +286,7 @@ def test_generators_satisfy_the_lambert_bound(ws):
     for a in hilbert_basis(ws).gens:
         assert sum(e for e, w in zip(a, ws) if w > 0) <= top_negative
         assert sum(e for e, w in zip(a, ws) if w < 0) <= top_positive
+        assert sum(a) <= lambert_degree(ws)
 
 
 # largest degree per vector length n that keeps the (degree + 1)^n grid of
@@ -358,7 +334,7 @@ def test_oracle_matches_direct_enumeration(case):
 @example((7, 11, -13, -17))
 @example((2, 3, 5, -7, -11))
 def test_oracle_matches_completion_at_the_lambert_degree(ws):
-    solutions = weight_zero_exponents(ws, _lambert_degree(ws))
+    solutions = weight_zero_exponents(ws, lambert_degree(ws))
     assert minimal_nonzero(solutions) == set(hilbert_basis(ws).gens)
 
 
@@ -366,8 +342,17 @@ def test_lambert_degree_sweep_n4():
     """Every weight vector in [-4, 4]^4: the oracle's minimal nonzero
     solutions at the Lambert degree are exactly the completion's output."""
     for ws in product(range(-4, 5), repeat=4):
-        solutions = weight_zero_exponents(ws, _lambert_degree(ws))
+        solutions = weight_zero_exponents(ws, lambert_degree(ws))
         assert minimal_nonzero(solutions) == set(hilbert_basis(ws).gens), ws
+
+
+def test_sweep_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = [root / "scripts" / "hilbert_sweep.py", "--max-n", "2", "--entry-bound", "2"]
+    result = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("checked 30 weight vectors")
 
 
 class TestExactForLargeWeights:
