@@ -82,10 +82,10 @@ class DiagonalDerivation:
         """Decide p in D(B) and produce a preimage.
 
         p lies in the image exactly when no term of p has weight 0; then the
-        preimage divides each term c*x^a by its weight <a, weights>, in one
-        pass over the terms, and (False, None) is returned as soon as a
-        weight-0 term turns up.  In particular nonzero constants are never
-        hit, so the image is a proper subspace.
+        preimage divides each term c*x^a by its weight <a, weights>, all over
+        one common denominator, and otherwise (False, None) is returned.  In
+        particular nonzero constants are never hit, so the image is a proper
+        subspace.
         """
         self._require_ctx(p)
         try:

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 from operator import add, getitem, index
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -66,36 +67,62 @@ def _check_index(ctx: RingCtx, i: int) -> int:
     return i
 
 
-def _canon(q: Fraction | int) -> Fraction | int:
-    """The canonical form of an exact rational: an `int` when q is integral,
-    else q itself, a `Fraction` with denominator > 1."""
-    return q.numerator if q.denominator == 1 else q
+# Coefficient form.  A polynomial stores integer numerators over one common
+# denominator: a dict from exponent tuple to a nonzero `int`, and an `int`
+# denominator >= 1 that has no factor > 1 in common with all of them (the
+# content and primitive-part form of computer algebra).  Every rational
+# polynomial thus has one stored form, a polynomial with integer coefficients
+# has denominator 1, and the ring operations are integer arithmetic plus at
+# most one gcd over the numerators to reduce the result.  `LaurentPoly.terms`
+# shows each coefficient as one exact rational: a plain `int` when it is
+# integral, otherwise a `fractions.Fraction` with denominator > 1.  Nothing
+# here divides with `/` or `** -k`, which give floats on ints.
 
 
-def _accumulate(acc: dict, terms, scale=None) -> None:
-    """Add `scale` times each (exponents, coefficient) pair of `terms` into
-    `acc`, in place, dropping keys whose coefficients cancel.
+def _accumulate(acc: dict, terms, scale: int = 1) -> None:
+    """Add `scale` times each (exponents, numerator) pair of `terms` into
+    `acc`, in place, dropping keys whose numerators cancel.
 
-    `acc` must be a dict the caller owns, never the `terms` of a
-    polynomial; `scale`, when given, must be nonzero.  The coefficients of
-    `terms` and `scale` must be canonical (see `_canon`); the results are
-    too, and a sum or product of two `int`s never touches `fractions`.
-    This is the package's one term-merge loop: `+`, `*`, `substitute`, the
-    parser and `LaurentPoly.sum` run through it.  Code outside this module
-    reaches it only through `LaurentPoly.sum` and the ring operations; the
-    finiteness probe's Gaussian reduction, for one, eliminates with `+`.
+    `acc` must be a dict the caller owns, never the numerators of a
+    polynomial, and it and `terms` must be over the same denominator;
+    `scale` must be a nonzero `int`.  This is the package's one term-merge
+    loop: `+`, `*`, `substitute`, the parser and `LaurentPoly.sum` run
+    through it.  Code outside this module reaches it only through
+    `LaurentPoly.sum` and the ring operations; the finiteness probe's
+    Gaussian reduction, for one, eliminates with `+`.
     """
     get = acc.get
     for key, coeff in terms:
-        if scale is not None:
-            coeff = coeff * scale
+        if scale != 1:
+            coeff *= scale
         old = get(key)
         if old is not None:
-            coeff = old + coeff
+            coeff += old
             if not coeff:
                 del acc[key]
                 continue
-        acc[key] = coeff if type(coeff) is int else _canon(coeff)
+        acc[key] = coeff
+
+
+def _widen(acc: dict, common: int, den: int) -> tuple[int, int]:
+    """Put the numerators of `acc`, which are over `common`, over
+    lcm(common, den), in place.  Returns that lcm and the factor that puts a
+    numerator over `den` over it.  Callers skip the call when den == common."""
+    wide = lcm(common, den)
+    if wide != common:
+        factor = wide // common
+        for key in acc:
+            acc[key] *= factor
+    return wide, wide // den
+
+
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """The numerators `num` and the denominator `den` > 1, with their
+    greatest common factor divided out.  Callers skip the call when den == 1."""
+    g = gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {e: c // g for e, c in num.items()}, den // g
 
 
 class _FactorText(dict):
@@ -123,28 +150,29 @@ _TABLE_MIN_TERMS = 32
 class LaurentPoly:
     """Immutable sparse Laurent polynomial.
 
-    Invariant of `terms`: every key is a tuple of exactly ctx.n `int`
-    exponents, every value is a nonzero exact rational in canonical form (a
-    plain `int` when it is integral, otherwise a `Fraction` with denominator
-    > 1, so each value has one representation), and the zero polynomial has
-    an empty map.  The dict is never mutated after construction; all
-    operations return fresh values, so sharing across threads is safe.
+    Storage, in the coefficient form described above: `_num` maps each
+    exponent tuple, exactly ctx.n `int`s, to a nonzero `int` numerator, and
+    `_den` is their common denominator, an `int` >= 1 with
+    gcd(_den, every numerator) == 1; the zero polynomial is ({}, 1).  Each
+    value has one stored form, which `==` and `hash` compare.  Nothing is
+    mutated after construction; all operations return fresh values, so
+    sharing across threads is safe.
 
-    The public constructor establishes the invariant from any `int` or
-    `Fraction` coefficients and integer exponents, and raises TypeError for
-    anything else, floats included.  `_trusted` wraps a dict as it is and is
-    for this module only: its callers must uphold the invariant, normalising
-    with `_canon` any value that came out of `Fraction` arithmetic, and hand
-    over a dict nothing else holds.  A division must go through `Fraction`:
-    `int / int` and `int ** -k` give floats.  Other modules build results
-    with the public constructor, the ring operations, `sum`, `split`,
-    `scale_by` and `divide_by`.
+    The public constructor takes any `int` or `Fraction` coefficients and
+    integer exponents, and raises TypeError for anything else, floats
+    included.  `_trusted` wraps a numerator dict and a denominator as they
+    are, after dividing out their common factor, and is for this module
+    only: its callers hand over nonzero `int` numerators, in a dict nothing
+    else holds.  Other modules build results with the public constructor,
+    the ring operations, `sum`, `split`, `scale_by` and `divide_by`, and read
+    coefficients through `terms`.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_num", "_den", "_view")
 
     def __init__(self, ctx: RingCtx, terms: Mapping[Sequence[int], Fraction | int] | None = None):
-        clean: dict[tuple[int, ...], Fraction | int] = {}
+        num: dict[tuple[int, ...], int] = {}
+        den = 1
         if terms:
             for exps, coeff in terms.items():
                 key = tuple(map(index, exps))
@@ -157,19 +185,46 @@ class LaurentPoly:
                         f"coefficients must be int or Fraction, not {type(coeff).__name__}"
                     )
                 if coeff:
-                    clean[key] = _canon(coeff)
+                    scale = 1
+                    if coeff.denominator != den:
+                        den, scale = _widen(num, den, coeff.denominator)
+                    num[key] = coeff.numerator * scale
+        if den != 1:  # a value given for a key twice may have widened den
+            num, den = _lowest(num, den)
         self.ctx = ctx
-        self.terms = clean
+        self._num = num
+        self._den = den
+        self._view = None
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction | int]:
+        """The coefficients as exact rationals: a plain `int` where the value
+        is integral, otherwise a `Fraction` with denominator > 1.  Over
+        denominator 1 this is the numerator dict itself; otherwise it is
+        built on the first read and kept.  Callers must not mutate it."""
+        den = self._den
+        if den == 1:
+            return self._num
+        view = self._view
+        if view is None:
+            view = self._view = {
+                e: c // den if c % den == 0 else Fraction(c, den) for e, c in self._num.items()
+            }
+        return view
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
-    def _trusted(cls, ctx: RingCtx, terms: dict[tuple[int, ...], Fraction | int]) -> "LaurentPoly":
-        """Wrap `terms` without validation; see the class docstring."""
+    def _trusted(cls, ctx: RingCtx, num: dict[tuple[int, ...], int], den: int = 1) -> "LaurentPoly":
+        """`num` over `den`, reduced, without validation; see the class docstring."""
+        if den != 1:
+            num, den = _lowest(num, den)
         poly = object.__new__(cls)
         poly.ctx = ctx
-        poly.terms = terms
+        poly._num = num
+        poly._den = den
+        poly._view = None
         return poly
 
     @classmethod
@@ -194,23 +249,23 @@ class LaurentPoly:
     # structure queries
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._num)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._num) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return Fraction(next(iter(self.terms.values()), 0))
+        return Fraction(next(iter(self._num.values()), 0), self._den)
 
     def monomial_exponents(self) -> tuple[int, ...]:
         if not self.is_monomial():
             raise ValueError("not a monomial")
-        return next(iter(self.terms))
+        return next(iter(self._num))
 
     # ------------------------------------------------------------------
     # ring operations
@@ -223,12 +278,15 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_ctx(other)
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms.items())
-        return LaurentPoly._trusted(self.ctx, terms)
+        terms = dict(self._num)
+        den, scale = self._den, 1
+        if other._den != den:
+            den, scale = _widen(terms, den, other._den)
+        _accumulate(terms, other._num.items(), scale)
+        return LaurentPoly._trusted(self.ctx, terms, den)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._trusted(self.ctx, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.ctx, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -238,17 +296,19 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             self._require_same_ctx(other)
-            terms: dict[tuple[int, ...], Fraction | int] = {}
-            rhs = other.terms.items()
-            for e1, c1 in self.terms.items():
+            terms: dict[tuple[int, ...], int] = {}
+            rhs = other._num.items()
+            for e1, c1 in self._num.items():
                 _accumulate(terms, ((tuple(map(add, e1, e2)), c2) for e2, c2 in rhs), c1)
-            return LaurentPoly._trusted(self.ctx, terms)
+            return LaurentPoly._trusted(self.ctx, terms, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly.zero(self.ctx)
-            scalar = _canon(other)
+            scalar = other.numerator
             return LaurentPoly._trusted(
-                self.ctx, {e: _canon(c * scalar) for e, c in self.terms.items()}
+                self.ctx,
+                {e: c * scalar for e, c in self._num.items()},
+                self._den * other.denominator,
             )
         return NotImplemented
 
@@ -259,14 +319,13 @@ class LaurentPoly:
         if not isinstance(power, int):
             raise TypeError("polynomial powers must be integers")
         if self.is_monomial():
-            # units: c*x^a -> c^m * x^(m*a) for every integer m; a negative
-            # m divides, so it goes through Fraction (int ** -m is a float)
-            exps, coeff = next(iter(self.terms.items()))
-            if power < 0:
-                coeff = Fraction(coeff)
-            return LaurentPoly._trusted(
-                self.ctx, {tuple(e * power for e in exps): _canon(coeff**power)}
-            )
+            # units: (n/d)*x^a -> (n/d)^m * x^(m*a) for every integer m; a
+            # negative m raises the reciprocal, its sign on the numerator
+            ((exps, num),) = self._num.items()
+            den, k = self._den, power
+            if k < 0:
+                num, den, k = (den, num, -k) if num > 0 else (-den, -num, -k)
+            return LaurentPoly._trusted(self.ctx, {tuple(e * power for e in exps): num**k}, den**k)
         if power < 0:
             raise ValueError("not a unit")
         result = LaurentPoly.constant(self.ctx, 1)
@@ -283,51 +342,53 @@ class LaurentPoly:
     @classmethod
     def sum(cls, ctx: RingCtx, polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
         """The sum of `polys`, all over ctx, in time linear in their terms."""
-        terms: dict[tuple[int, ...], Fraction | int] = {}
+        terms: dict[tuple[int, ...], int] = {}
+        den = 1
         for p in polys:
             if p.ctx != ctx:
                 raise ValueError("context mismatch")
             if terms:
-                _accumulate(terms, p.terms.items())
+                scale = 1
+                if p._den != den:
+                    den, scale = _widen(terms, den, p._den)
+                _accumulate(terms, p._num.items(), scale)
             else:  # the sum so far is zero
-                terms = dict(p.terms)
-        return cls._trusted(ctx, terms)
+                terms = dict(p._num)
+                den = p._den
+        return cls._trusted(ctx, terms, den)
 
     def split(self, key: Callable[[tuple[int, ...]], Hashable]) -> dict[Hashable, "LaurentPoly"]:
         """Group the terms by `key(exps)`: maps each value that occurs to the
         (nonzero) part of self whose terms give it; the parts sum to self."""
         parts: dict = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._num.items():
             parts.setdefault(key(exps), {})[exps] = coeff
-        return {k: LaurentPoly._trusted(self.ctx, terms) for k, terms in parts.items()}
+        return {k: LaurentPoly._trusted(self.ctx, terms, self._den) for k, terms in parts.items()}
 
     def scale_by(self, factor: Callable[[tuple[int, ...]], int]) -> "LaurentPoly":
         """Each term c*x^a times the integer factor(a); terms with factor 0 vanish."""
         return LaurentPoly._trusted(
-            self.ctx, {e: _canon(c * f) for e, c in self.terms.items() if (f := factor(e))}
+            self.ctx, {e: c * f for e, c in self._num.items() if (f := factor(e))}, self._den
         )
 
     def divide_by(self, divisor: Callable[[tuple[int, ...]], int]) -> "LaurentPoly":
-        """Each term c*x^a divided by the integer divisor(a), one exact
-        division per term; an `int` coefficient stays an `int` when the
-        division leaves no remainder.  Raises ZeroDivisionError when some
-        divisor(a) is 0."""
-        terms = {}
-        for e, c in self.terms.items():
-            d = divisor(e)
-            if type(c) is int:
-                terms[e] = Fraction(c, d) if c % d else c // d
-            else:
-                terms[e] = _canon(c / d)
-        return LaurentPoly._trusted(self.ctx, terms)
+        """Each term c*x^a divided by the integer divisor(a), exactly: the
+        numerators go over the lcm of the divisors.  Raises
+        ZeroDivisionError when some divisor(a) is 0."""
+        divisors = [divisor(e) for e in self._num]
+        common = lcm(*divisors)
+        if not common:
+            raise ZeroDivisionError("division of a term by zero")
+        terms = {e: c * (common // d) for (e, c), d in zip(self._num.items(), divisors)}
+        return LaurentPoly._trusted(self.ctx, terms, self._den * common)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, self._den, frozenset(self._num.items())))
 
     # ------------------------------------------------------------------
     # calculus and substitution
@@ -336,13 +397,12 @@ class LaurentPoly:
         """Formal partial derivative: x_i^m -> m * x_i^(m-1) for every integer m."""
         _check_index(self.ctx, i)
         terms = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._num.items():
             e = exps[i]
             if e == 0:
                 continue
-            key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            terms[key] = _canon(coeff * e)
-        return LaurentPoly._trusted(self.ctx, terms)
+            terms[exps[:i] + (e - 1,) + exps[i + 1 :]] = coeff * e
+        return LaurentPoly._trusted(self.ctx, terms, self._den)
 
     def substitute(self, images: Sequence["LaurentPoly"]) -> "LaurentPoly":
         """Ring-homomorphism evaluation x_i -> images[i].
@@ -355,9 +415,11 @@ class LaurentPoly:
 
         A single-term image c*x^b (a unit; constants included) never enters
         a polynomial product: x_i^e shifts a term's exponent vector by e*b and
-        multiplies its coefficient by c^e.  Each power of any other image is
-        computed at most once per call, and only the product of those powers
-        is merged into the result, shifted and scaled.
+        multiplies its numerator and denominator by those of c^e.  Each power
+        of any other image is computed at most once per call, and only the
+        product of those powers is merged into the result, shifted and
+        scaled.  The result's numerators are kept over the lcm of the terms'
+        denominators so far.
         """
         if len(images) != self.ctx.n:
             raise ValueError(f"expected {self.ctx.n} images, got {len(images)}")
@@ -365,20 +427,22 @@ class LaurentPoly:
         for img in images:
             if img.ctx != target:
                 raise ValueError("context mismatch")
-        # per variable: the nonzero (position, b_j) of a unit image c*x^b and
-        # its c, or the powers computed so far of any other image
-        units: list[tuple[list[tuple[int, int]], Fraction | int] | None] = []
+        # per variable: the nonzero (position, b_j) of a unit image (n/d)*x^b
+        # with n and d, or the powers computed so far of any other image
+        units: list[tuple[list[tuple[int, int]], int, int] | None] = []
         powers: list[dict[int, LaurentPoly] | None] = []
         for img in images:
-            if len(img.terms) == 1:
-                ((b, c),) = img.terms.items()
-                units.append(([(j, bj) for j, bj in enumerate(b) if bj], c))
+            if len(img._num) == 1:
+                ((b, c),) = img._num.items()
+                units.append(([(j, bj) for j, bj in enumerate(b) if bj], c, img._den))
                 powers.append(None)
             else:
                 units.append(None)
                 powers.append({1: img})
-        total: dict[tuple[int, ...], Fraction | int] = {}
-        for exps, coeff in self.terms.items():
+        total: dict[tuple[int, ...], int] = {}
+        common = 1  # the denominator of total
+        for exps, num in self._num.items():
+            den = 1
             shift = [0] * target.n
             product = None
             for i, e in enumerate(exps):
@@ -386,30 +450,38 @@ class LaurentPoly:
                     continue
                 unit = units[i]
                 if unit is not None:
-                    b, c = unit
+                    b, c, d = unit
                     for j, bj in b:
                         shift[j] += e * bj
+                    if e < 0:  # (c/d)^e == (d/c)^-e
+                        c, d = d, c
                     if c != 1:
-                        # a negative power divides: int ** -e is a float
-                        coeff = coeff * (c**e if e > 0 else Fraction(c) ** e)
+                        num *= c ** abs(e)
+                    if d != 1:
+                        den *= d ** abs(e)
                     continue
                 cache = powers[i]
                 power = cache.get(e)
                 if power is None:
                     power = cache[e] = images[i] ** e
                 product = power if product is None else product * power
-            if type(coeff) is not int:
-                coeff = _canon(coeff)
+            if product is not None:
+                den *= product._den
+            if den != common:
+                if den < 0:
+                    num, den = -num, -den
+                common, scale = _widen(total, common, den)
+                num *= scale
             key = tuple(shift)
             if product is None:
-                _accumulate(total, ((key, coeff),))
+                _accumulate(total, ((key, num),))
             elif any(shift):
                 _accumulate(
-                    total, ((tuple(map(add, a, key)), c) for a, c in product.terms.items()), coeff
+                    total, ((tuple(map(add, a, key)), c) for a, c in product._num.items()), num
                 )
             else:
-                _accumulate(total, product.terms.items(), coeff)
-        return LaurentPoly._trusted(target, total)
+                _accumulate(total, product._num.items(), num)
+        return LaurentPoly._trusted(target, total, common * self._den)
 
     # ------------------------------------------------------------------
     # printing
@@ -423,18 +495,21 @@ class LaurentPoly:
         is built once per call and variable, through a `_FactorText` table.
         Integers of any length are printed exactly.
         """
-        if not self.terms:
+        if not self._num:
             return "0"
         names = self.ctx.names
         tables = None
-        if len(self.terms) >= _TABLE_MIN_TERMS:
+        if len(self._num) >= _TABLE_MIN_TERMS:
             tables = [_FactorText({0: "", 1: name}) for name in names]
+        common = self._den
         out = []
-        for exps, coeff in sorted(self.terms.items(), reverse=True):
-            if type(coeff) is int:
-                num, den = coeff, 1
-            else:
-                num, den = coeff.numerator, coeff.denominator
+        for exps, num in sorted(self._num.items(), reverse=True):
+            den = common
+            if den != 1:  # num/den in lowest terms
+                g = gcd(num, den)
+                if g != 1:
+                    num //= g
+                    den //= g
             if num < 0:
                 out.append(" - " if out else "-")
                 num = -num
@@ -516,23 +591,25 @@ class _Parser:
         return poly
 
     def expr(self) -> LaurentPoly:
-        total: dict[tuple[int, ...], Fraction | int] = {}
+        total: dict[tuple[int, ...], int] = {}
+        common = 1  # the denominator of total
         negate = self.tokens[self.pos] == "-"
         if negate:
             self.pos += 1
         while True:
-            self.term(total, negate)
+            common = self.term(total, common, negate)
             token = self.tokens[self.pos]
             if token != "+" and token != "-":
-                return LaurentPoly._trusted(self.ctx, total)
+                return LaurentPoly._trusted(self.ctx, total, common)
             negate = token == "-"
             self.pos += 1
 
-    def term(self, total: dict, negate: bool) -> None:
-        """Parse one product and add it, negated if asked, into `total`."""
+    def term(self, total: dict, common: int, negate: bool) -> int:
+        """Parse one product and add it, negated if asked, into the
+        numerators `total` over `common`; returns their new denominator."""
         tokens = self.tokens
         exps = [0] * self.ctx.n
-        num = den = 1  # the coefficient, normalised once at the end
+        num = den = 1  # the scalar coefficient num/den
         poly = None
         while True:
             token = tokens[self.pos]
@@ -579,15 +656,20 @@ class _Parser:
                 break
             self.pos += 1
         if not num:
-            return
+            return common
         if negate:
             num = -num
-        scale = num if den == 1 else _canon(Fraction(num, den))
+        if poly is not None:
+            den *= poly._den
+        if den != common:
+            common, scale = _widen(total, common, den)
+            num *= scale
         key = tuple(exps)
         if poly is None:
-            _accumulate(total, ((key, scale),))
+            _accumulate(total, ((key, num),))
         else:
-            _accumulate(total, ((tuple(map(add, e, key)), c) for e, c in poly.terms.items()), scale)
+            _accumulate(total, ((tuple(map(add, e, key)), c) for e, c in poly._num.items()), num)
+        return common
 
     def exponent(self) -> int:
         """Consume '^' and a signed integer."""

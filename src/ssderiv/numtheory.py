@@ -1,18 +1,11 @@
-"""Exact integer helpers: rational scalars, multi-integer Bezout coefficients,
-and decimal conversions with no digit limit."""
+"""Exact integer helpers: multi-integer Bezout coefficients and decimal
+conversions with no digit limit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
 from typing import Sequence
-
-# Rational scalars are fractions.Fraction values: always in lowest terms with
-# a positive denominator.  Polynomial coefficients keep one canonical form of
-# each rational: a plain int when it is integral, so that integer arithmetic
-# never touches fractions, and a Fraction with denominator > 1 otherwise (see
-# laurent.LaurentPoly).  A division goes through Fraction, since int / int
-# and int ** -k give floats.
 
 
 @dataclass(frozen=True)

@@ -67,13 +67,16 @@ def either(make, ctx: RingCtx, **kwargs):
 def assert_canonical(p: LaurentPoly) -> None:
     """Keys are int tuples of length ctx.n; each coefficient is nonzero and
     has one representation: an `int` when integral, else a `Fraction` with
-    denominator > 1 (never a float); validation changes nothing."""
+    denominator > 1 (never a float); validation changes neither the value
+    nor its hash."""
     for key, coeff in p.terms.items():
         assert type(key) is tuple and len(key) == p.ctx.n
         assert all(type(e) is int for e in key)
         assert coeff != 0
         assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
-    assert p == LaurentPoly(p.ctx, dict(p.terms))
+    rebuilt = LaurentPoly(p.ctx, dict(p.terms))
+    assert p == rebuilt
+    assert hash(p) == hash(rebuilt)
 
 
 def weight_vectors(n: int, bound: int = 5):

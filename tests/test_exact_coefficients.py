@@ -146,6 +146,42 @@ class TestInexactCoefficientsRejected:
         assert LaurentPoly.constant(CTX_XY, 3).constant_value() == 3
         assert type(LaurentPoly.constant(CTX_XY, 3).constant_value()) is Fraction
 
+    def test_later_value_of_a_repeated_exponent_vector_wins(self):
+        class One:
+            def __index__(self):
+                return 1
+
+        # two keys, one exponent vector: only the later value's denominator counts
+        p = LaurentPoly(CTX_XY, {(1, 0): Fraction(1, 2), (One(), 0): 1})
+        assert p == parse("x", CTX_XY)
+        assert_canonical(p)
+
+
+class TestCommonFactorReduced:
+    """Results whose coefficients share a factor with their common
+    denominator come out in lowest terms, equal and hash-equal to the same
+    value built directly."""
+
+    def test_sum_of_halves_is_an_int(self):
+        p = parse("1/2*x + 1/2*x", CTX_XY)
+        assert p.terms == {(1, 0): 1} and coefficient_types(p) == {int}
+        assert p == parse("x", CTX_XY) and hash(p) == hash(parse("x", CTX_XY))
+        assert_canonical(p)
+
+    def test_scalar_products_reduce(self):
+        p = LaurentPoly.variable(CTX_XY, 0) * Fraction(1, 6) * 3
+        assert str(p) == "1/2*x"
+        assert p.terms == {(1, 0): Fraction(1, 2)}
+        assert hash(p) == hash(parse("1/2*x", CTX_XY))
+        assert_canonical(p)
+
+    def test_scale_by_clears_the_denominator(self):
+        p = parse("1/2*x + 1/2*y", CTX_XY).scale_by(lambda e: 2)
+        q = parse("x + y", CTX_XY)
+        assert p == q and hash(p) == hash(q)
+        assert coefficient_types(p) == {int}
+        assert_canonical(p)
+
 
 @given(
     int_polys(CTX_XYZ, max_terms=6, exp_bound=3),

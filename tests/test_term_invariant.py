@@ -6,9 +6,11 @@ exactly when the value is integral, otherwise a `Fraction` with denominator
 own terms.  Half of the examples draw integer coefficients only, the case in
 which no arithmetic but a division may leave the integers.
 
-Only `laurent.py` may build a polynomial through the trusted constructor or
-touch the term-merge helpers; every other module goes through the public
-operations, which a static check of the package sources enforces."""
+Only `laurent.py` may build a polynomial through the trusted constructor,
+touch the term-merge helpers or read the stored numerators, denominator and
+cached coefficient view; every other module goes through the public
+operations and `terms`, which a static check of the package sources
+enforces."""
 
 import ast
 from functools import reduce
@@ -119,8 +121,9 @@ def test_derivation_results_are_canonical(p, weights, a, b, c):
 
 def test_only_laurent_touches_the_term_format():
     """No module but laurent.py imports a private name from `.laurent` or
-    names `_trusted`, `_accumulate` or `_canon`; no test does either."""
-    private = {"_trusted", "_accumulate", "_canon"}
+    names `_trusted`, `_accumulate`, `_widen`, `_lowest` or the stored
+    `_num`, `_den` and `_view`; no test does either."""
+    private = {"_trusted", "_accumulate", "_widen", "_lowest", "_num", "_den", "_view"}
     package = Path(ssderiv.__file__).parent
     sources = sorted(package.glob("*.py"))
     assert len(sources) > 1
