@@ -75,7 +75,7 @@ class DiagonalDerivation:
         self._require_ctx(p)
         if p.is_zero():
             raise ValueError("weight of zero undefined")
-        seen = {self.term_weight(exps) for exps in p.terms}
+        seen = {self.term_weight(exps) for exps in p.support()}
         return seen.pop() if len(seen) == 1 else None
 
     def image_decompose(self, p: LaurentPoly) -> tuple[bool, LaurentPoly | None]:
@@ -236,7 +236,7 @@ class _RowSpace:
     def _reduce(self, p: LaurentPoly) -> LaurentPoly:
         """The remainder of p after elimination against every stored row."""
         for pivot, row in self.rows:
-            c = p.terms.get(pivot)
+            c = p.coefficient(pivot)
             if c:
                 p = p + row * -c
         return p
@@ -246,9 +246,9 @@ class _RowSpace:
         vec = self._reduce(p)
         if vec.is_zero():
             return False
-        pivot = max(vec.terms)
+        pivot = max(vec.support())
         # each row is monic at its pivot; int / int would be a float
-        self.rows.append((pivot, vec * (1 / Fraction(vec.terms[pivot]))))
+        self.rows.append((pivot, vec * (1 / Fraction(vec.coefficient(pivot)))))
         return True
 
     def contains(self, p: LaurentPoly) -> bool:

@@ -4,6 +4,14 @@ A polynomial is a finite map from integer exponent vectors to nonzero rational
 coefficients, so negative exponents (localized monomials) are first-class.
 The canonical term order is descending lexicographic on the exponent vector in
 declared variable order; `parse(str(p)) == p` for every polynomial p.
+
+`parse` has two paths with one error source.  Text without parentheses, which
+includes everything the printer writes, is first read by a fast path of
+string splits; on any text it does not fully accept, that path gives up
+without raising, and the recursive descent reads the text instead.  The
+descent is the only path for parenthesised text and the only source of
+ParseError.  The printer keeps, per ring context, a bounded table from
+exponent vector to factor text, so a monomial printed before costs one lookup.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import add, getitem, index
+from operator import add, index
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .numtheory import decimal_to_int, int_to_decimal
@@ -32,13 +40,19 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class RingCtx:
-    """Ordered variable context of a Laurent polynomial ring over Q."""
+    """Ordered variable context of a Laurent polynomial ring over Q.
+
+    Each instance also carries the printer's factor-text table (see
+    `LaurentPoly.__str__`).  It is not a dataclass field, so equality, hash,
+    repr and `dataclasses.replace` never see it.
+    """
 
     names: tuple[str, ...]
 
     def __post_init__(self):
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_factor_text", {})
         if not names:
             raise ValueError("a ring context needs at least one variable")
         for name in names:
@@ -125,26 +139,15 @@ def _lowest(num: dict, den: int) -> tuple[dict, int]:
     return {e: c // g for e, c in num.items()}, den // g
 
 
-class _FactorText(dict):
-    """Exponent -> printed factor of one variable, "" for exponent 0, each
-    text built the first time its exponent is looked up.  Created as
-    `_FactorText({0: "", 1: name})`, so self[1] is the variable's name.  One
-    table lives for one `__str__` call."""
-
-    __slots__ = ()
-
-    def __missing__(self, e: int) -> str:
-        text = self[e] = f"{self[1]}^{int_to_decimal(e)}"
-        return text
+def _rational(num: int, den: int) -> Fraction | int:
+    """num/den as `terms` shows it: an `int` when integral, else a `Fraction`."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
-# Per-call factor tables pay for themselves only once exponents repeat.  In
-# the `algebra` benchmark, where almost every printed polynomial has fewer
-# than 24 terms or at least 64, they raise jobs/s by ~6%.  Built for every
-# call, they make the small polynomials of `monoid` and `cli`, mostly kernel
-# monomials, print about 2x slower.  Smaller polynomials are formatted
-# factor by factor.
-_TABLE_MIN_TERMS = 32
+# The most entries a ring context's factor-text table takes; a full table
+# stops growing and the printer builds the text of any other monomial each
+# time.  The largest context of the `algebra` benchmark reaches 1,106.
+_FACTOR_TEXT_LIMIT = 4096
 
 
 class LaurentPoly:
@@ -156,7 +159,10 @@ class LaurentPoly:
     gcd(_den, every numerator) == 1; the zero polynomial is ({}, 1).  Each
     value has one stored form, which `==` and `hash` compare.  Nothing is
     mutated after construction; all operations return fresh values, so
-    sharing across threads is safe.
+    sharing across threads is safe.  (The printer's table on the ring
+    context does grow, one whole entry at a time: threads that print at
+    once may both build a text, and may each add one entry past the
+    table's bound.)
 
     The public constructor takes any `int` or `Fraction` coefficients and
     integer exponents, and raises TypeError for anything else, floats
@@ -165,7 +171,7 @@ class LaurentPoly:
     only: its callers hand over nonzero `int` numerators, in a dict nothing
     else holds.  Other modules build results with the public constructor,
     the ring operations, `sum`, `split`, `scale_by` and `divide_by`, and read
-    coefficients through `terms`.
+    coefficients through `terms`, `coefficient` and `support`.
     """
 
     __slots__ = ("ctx", "_num", "_den", "_view")
@@ -207,10 +213,20 @@ class LaurentPoly:
             return self._num
         view = self._view
         if view is None:
-            view = self._view = {
-                e: c // den if c % den == 0 else Fraction(c, den) for e, c in self._num.items()
-            }
+            view = self._view = {e: _rational(c, den) for e, c in self._num.items()}
         return view
+
+    def coefficient(self, exps: tuple[int, ...]) -> Fraction | int:
+        """The coefficient of the monomial with exponent tuple `exps`, as
+        `terms` shows it, or 0 when it has no term; builds no `terms` view."""
+        num = self._num.get(exps)
+        if num is None:
+            return 0
+        return num if self._den == 1 else _rational(num, self._den)
+
+    def support(self):
+        """The exponent tuples of the terms, as a read-only keys view."""
+        return self._num.keys()
 
     # ------------------------------------------------------------------
     # constructors
@@ -491,19 +507,20 @@ class LaurentPoly:
         each as a sign, a coefficient (omitted when it is 1 before a
         variable) and `*`-joined factors `x`, `x^3`, `x^-2`; "0" for zero.
 
-        In a polynomial of at least _TABLE_MIN_TERMS terms, each factor text
-        is built once per call and variable, through a `_FactorText` table.
+        The factor text of a monomial ("x^2*y^-1", "" for the constant) is
+        built once per ring context: the context's table keeps it for every
+        later print, until the table holds _FACTOR_TEXT_LIMIT entries.
         Integers of any length are printed exactly.
         """
-        if not self._num:
+        nums = self._num
+        if not nums:
             return "0"
         names = self.ctx.names
-        tables = None
-        if len(self._num) >= _TABLE_MIN_TERMS:
-            tables = [_FactorText({0: "", 1: name}) for name in names]
+        table = self.ctx._factor_text
         common = self._den
         out = []
-        for exps, num in sorted(self._num.items(), reverse=True):
+        for exps in sorted(nums, reverse=True):
+            num = nums[exps]
             den = common
             if den != 1:  # num/den in lowest terms
                 g = gcd(num, den)
@@ -515,12 +532,13 @@ class LaurentPoly:
                 num = -num
             elif out:
                 out.append(" + ")
-            if tables is None:
+            factors = table.get(exps)
+            if factors is None:
                 factors = "*".join(
                     [n if e == 1 else f"{n}^{int_to_decimal(e)}" for n, e in zip(names, exps) if e]
                 )
-            else:
-                factors = "*".join(filter(None, map(getitem, tables, exps)))
+                if len(table) < _FACTOR_TEXT_LIMIT:
+                    table[exps] = factors
             if den == 1:
                 if num == 1 and factors:
                     out.append(factors)
@@ -684,12 +702,114 @@ class _Parser:
         return -k if sign == "-" else k
 
 
+def _ascii_int(text: str) -> int | None:
+    """The value of `text`, stripped of whitespace, when that is ASCII
+    digits (any number of them), else None."""
+    if not (text.isdigit() and text.isascii()):
+        text = text.strip()
+        if not (text.isdigit() and text.isascii()):
+            return None
+    return decimal_to_int(text)
+
+
+def _flat_factor(factor: str, names: tuple[str, ...]) -> tuple[int, int, int] | None:
+    """One factor of a flat term: (i, k, 1) for names[i]^k, (-1, p, q) for
+    the rational p/q (a power of one included), or None where `factor` is
+    not plainly well formed or is a negative power of 0.  A '~' right after
+    the '^' stands for the exponent's '-'."""
+    base, caret, power = factor.partition("^")
+    k = 1
+    if caret:
+        negative = power[:1] == "~"
+        k = _ascii_int(power[1:] if negative else power)
+        if k is None:
+            return None
+        if negative:
+            k = -k
+    base = base.strip()
+    if base in names:
+        return names.index(base), k, 1
+    p, slash, q = base.partition("/")
+    p = _ascii_int(p)
+    q = _ascii_int(q) if slash else 1
+    if p is None or not q:  # q is None or 0
+        return None
+    if k < 0:
+        if not p:
+            return None  # not a unit
+        p, q, k = q, p, -k
+    return -1, p**k, q**k
+
+
+def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
+    """The polynomial of a parenthesis-free `text`, read with string splits,
+    or None wherever the text is not plainly well formed.  Never raises.
+
+    A sign right after '^' belongs to the exponent: it is marked '~' (a
+    character no accepted text contains) before the text is split into terms
+    on the other signs, each term into factors on '*', and each factor on
+    '^' and '/'.  Whitespace may surround every piece and is stripped; inside
+    a piece it fails the digit and name checks, so two tokens with only
+    whitespace between them are never accepted.  A sign after '^' and
+    whitespace, a negative power of 0 and every syntax error give None, and
+    the recursive descent decides them.  Each distinct factor text is read
+    once per call.
+    """
+    if "(" in text or ")" in text or "~" in text:
+        return None
+    if "^" in text:
+        text = text.replace("^-", "^~").replace("^+", "^")
+    pieces = text.replace("-", "+-").split("+")
+    if not pieces[0] or pieces[0].isspace():
+        # a sign starts the text: it must be a single '-'
+        if len(pieces) == 1 or pieces[1][:1] != "-":
+            return None
+        del pieces[0]
+    names = ctx.names
+    read: dict[str, tuple[int, int, int]] = {}
+    zero = [0] * len(names)
+    terms, dens = [], []
+    for piece in pieces:
+        negate = piece[:1] == "-"
+        if negate:
+            piece = piece[1:]
+        exps = zero[:]
+        num = den = 1
+        for factor in piece.split("*"):
+            value = read.get(factor)
+            if value is None:
+                value = read[factor] = _flat_factor(factor, names)
+                if value is None:
+                    return None
+            i, a, b = value
+            if i < 0:
+                num *= a
+                den *= b
+            else:
+                exps[i] += a
+        if num:
+            terms.append((tuple(exps), -num if negate else num))
+            dens.append(den)
+    common = lcm(*dens)
+    if common != 1:
+        terms = [(key, num * (common // den)) for (key, num), den in zip(terms, dens)]
+    total: dict[tuple[int, ...], int] = {}
+    _accumulate(total, terms)
+    return LaurentPoly._trusted(ctx, total, common)
+
+
 def parse(text: str, ctx: RingCtx) -> LaurentPoly:
     """Parse an ASCII expression, e.g. "3*x^2*y^-1 - 1/2", over ctx.
+
+    Text without parentheses is read by a fast path of string splits first;
+    the recursive descent reads whatever that path does not fully accept,
+    and all parenthesised text.  Both give the same polynomial, and only
+    the descent raises.
 
     Raises ParseError, with line and column, for a syntax error, a non-ASCII
     character, an unknown variable or parentheses nested more than
     MAX_NESTING (200) levels deep, and ValueError("not a unit") for a
     negative power of a non-monomial.
     """
-    return _Parser(text, ctx).run()
+    poly = _parse_flat(text, ctx)
+    return poly if poly is not None else _Parser(text, ctx).run()

@@ -156,9 +156,11 @@ def reference_substitute(p: LaurentPoly, images) -> LaurentPoly:
 
 
 def reference_str(p: LaurentPoly) -> str:
-    """The printer as it was before its per-call factor tables: it rebuilds
-    every factor text for every term.  Uses plain `str` on integers, so it
-    covers coefficients and exponents below the interpreter's digit limit."""
+    """The printer with no factor-text table: it builds every factor text
+    for every term.  It is the reference for the table path, so `str` must
+    give its text whether the context's table is cold, warm or full.  Uses
+    plain `str` on integers, so it covers coefficients and exponents below
+    the interpreter's digit limit."""
     if not p.terms:
         return "0"
     names = p.ctx.names

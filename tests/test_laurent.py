@@ -178,6 +178,21 @@ ERROR_TABLE = [
     ("--x", "expected a number, a variable or '(' but found '-'", 1, 2),
     ("0/5^-1", "not a unit", None, None),
     ("x^-1*(y + 1)^-2", "not a unit", None, None),
+    # parenthesis-free texts, which parse reads with string splits first
+    ("2x", "unexpected 'x'", 1, 2),
+    ("x^ -", "expected an integer exponent but found 'end of input'", 1, 5),
+    ("x^+-2", "expected an integer exponent but found '-'", 1, 4),
+    ("x^-+2", "expected an integer exponent but found '+'", 1, 4),
+    ("x^~2", "unexpected character '~'", 1, 3),
+    ("x^2/3", "unexpected '/'", 1, 4),
+    ("+x", "expected a number, a variable or '(' but found '+'", 1, 1),
+    ("  +x", "expected a number, a variable or '(' but found '+'", 1, 3),
+    ("x - ", "expected a number, a variable or '(' but found 'end of input'", 1, 5),
+    ("1_0", "unexpected '_0'", 1, 2),
+    ("- -x", "expected a number, a variable or '(' but found '-'", 1, 3),
+    ("x**2", "expected a number, a variable or '(' but found '*'", 1, 3),
+    ("x\u00a0y", "unexpected 'y'", 1, 3),
+    ("\u3000-\u2002-x", "expected a number, a variable or '(' but found '-'", 1, 4),
 ]
 
 
@@ -207,6 +222,17 @@ class TestParseLimits:
 
     def test_unicode_whitespace_still_separates(self):
         assert parse("x\u00a0+\ty", CTX_XYZ) == parse("x + y", CTX_XYZ)
+
+    def test_flat_text_with_5000_digit_numbers(self):
+        ones = (10**5000 - 1) // 9  # "1" * 5000
+        text = f"1{'0' * 4999}1/{'7' * 5000}*x^{'1' * 5000} - y^-{'2' * 5000} + {'3' * 5000}"
+        p = parse(text, CTX_XY)
+        assert p.terms == {
+            (ones, 0): Fraction(10**5000 + 1, 7 * ones),
+            (0, -2 * ones): -1,
+            (0, 0): 3 * ones,
+        }
+        assert p == parse(f"({text})", CTX_XY)
 
     def test_deep_nesting_fails_fast(self):
         depth = 10_000

@@ -1,13 +1,15 @@
 """Differential tests: `substitute`, `__str__` and `image_decompose` must
 give exactly what the reference versions in helpers.py give, results and
-errors alike."""
+errors alike, and `parse` must read parenthesis-free text, which it reads
+with string splits, exactly as it reads the same text in parentheses, which
+only its recursive descent reads."""
 
 from fractions import Fraction
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ssderiv import DiagonalDerivation, LaurentPoly, parse
+from ssderiv import DiagonalDerivation, LaurentPoly, RingCtx, parse
 
 from helpers import (
     CTX_X,
@@ -89,7 +91,7 @@ def test_substitute_matches_reference(case):
         assert_canonical(got)
 
 
-# polynomials of _TABLE_MIN_TERMS (32) terms and more print through tables
+# the shared contexts' factor-text tables are warm after the first examples
 @given(
     st.sampled_from(CONTEXTS).flatmap(lambda ctx: polys(ctx, max_terms=10))
     | st.sampled_from((CTX_XY, CTX_XYZ)).flatmap(
@@ -126,3 +128,84 @@ def test_image_decompose_matches_reference(case):
     if hit:
         assert_canonical(preimage)
         assert d.apply(preimage) == p
+
+
+def test_str_is_the_same_with_a_cold_a_warm_and_a_full_table():
+    ctx = RingCtx(("x", "y", "z"))  # a new context starts with an empty table
+    p = parse("(x - y^-1 + 2*z^-3 - 1/2)^4 + 5/3*x^-11*y^12", ctx)
+    cold = str(p)
+    assert cold == reference_str(p)
+    assert str(p) == cold
+    # 9261 distinct monomials, more than twice the table's bound of 4096
+    cube = LaurentPoly(ctx, {(a, b, c): a - b + 2 * c or 1 for a in range(-10, 11)
+                             for b in range(-10, 11) for c in range(-10, 11)})
+    assert str(cube) == reference_str(cube)
+    assert str(cube) == reference_str(cube)
+    assert str(p) == cold
+    unseen = LaurentPoly(ctx, {(40, 1, 0): Fraction(-3, 7), (0, -40, 2): 1, (0, 0, 99): -1})
+    assert str(unseen) == reference_str(unseen) == "-3/7*x^40*y - z^99 + y^-40*z^2"
+
+
+def test_printing_leaves_the_context_value_alone():
+    first = RingCtx(("u", "v"))
+    second = RingCtx(("u", "v"))  # equal, built separately, with its own table
+    before = (hash(first), repr(first), str(first))
+    p = parse("3*u^2*v^-1 - u + 1/2*v^7", first)
+    q = LaurentPoly(second, p.terms)
+    assert str(p) == str(q) == "3*u^2*v^-1 - u + 1/2*v^7"
+    assert str(q) == str(p)
+    assert first == second and p == q
+    assert (hash(first), repr(first), str(first)) == before
+    assert (hash(second), repr(second), str(second)) == before
+    assert repr(first) == "RingCtx(names=('u', 'v'))"
+
+
+# Parenthesis-free expressions over CTX_XYZ: a leading '-' or none, then
+# terms joined by '+' or '-', each a '*'-product of variables and
+# rationals n or n/d, any of them raised to k, +k or -k with or without
+# whitespace after the '^'.  Whitespace of several kinds may stand between
+# any two tokens.  Zero numerators, 0^0 and negative powers of 0 occur.
+_GAPS = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \n\t", "\u00a0"])
+
+
+@st.composite
+def flat_texts(draw):
+    def gap():
+        return draw(_GAPS)
+
+    def power(k_max):
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        return f"{gap()}^{gap()}{sign}{gap()}{draw(st.integers(0, k_max))}"
+
+    def factor():
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(CTX_XYZ.names))
+            return text + power(20) if draw(st.booleans()) else text
+        text = str(draw(st.integers(0, 12) | st.integers(0, 10**30)))
+        if draw(st.booleans()):
+            text += f"{gap()}/{gap()}{draw(st.integers(1, 12) | st.integers(1, 10**30))}"
+        return text + power(4) if draw(st.integers(0, 3)) == 0 else text
+
+    def term():
+        factors = draw(st.lists(st.builds(factor), min_size=1, max_size=4))
+        return f"{gap()}*{gap()}".join(factors)
+
+    terms = draw(st.lists(st.builds(term), min_size=1, max_size=6))
+    text = gap() + draw(st.sampled_from(["", "-"])) + gap() + terms[0]
+    for t in terms[1:]:
+        text += f"{gap()}{draw(st.sampled_from('+-'))}{gap()}{t}"
+    return text + gap()
+
+
+@given(flat_texts())
+@example("-x^-2*y + 3/4*z^+3 - 0^0*x*x - 0*y + 2/3^-2")
+@example("x^ -3 - y ^ + 2*z^- 4\n-\t1 / 2 ^ -1")
+@example("7*x^3*y^-2 - 0/5 + x*x^-1*z")
+@example("0^-1*x + y")
+@example(" -  x")
+def test_flat_text_parses_as_in_parentheses(text):
+    got = outcome(parse, text, CTX_XYZ)
+    assert got == outcome(parse, f"({text})", CTX_XYZ)
+    if isinstance(got, LaurentPoly):
+        assert_canonical(got)
+        assert parse(str(got), CTX_XYZ) == got

@@ -7,10 +7,10 @@ own terms.  Half of the examples draw integer coefficients only, the case in
 which no arithmetic but a division may leave the integers.
 
 Only `laurent.py` may build a polynomial through the trusted constructor,
-touch the term-merge helpers or read the stored numerators, denominator and
-cached coefficient view; every other module goes through the public
-operations and `terms`, which a static check of the package sources
-enforces."""
+touch the term-merge helpers, read the stored numerators, denominator and
+cached coefficient view, or reach the printer's per-context table; every
+other module goes through the public operations, `terms`, `coefficient`
+and `support`, which a static check of the package sources enforces."""
 
 import ast
 from functools import reduce
@@ -118,12 +118,22 @@ def test_derivation_results_are_canonical(p, weights, a, b, c):
     assert scaled == d.apply(p)
     assert scaled == LaurentPoly(CTX_XYZ, {e: c * d.term_weight(e) for e, c in p.terms.items()})
 
+    for result in (p, a, preimage, scaled, *parts.values()):
+        assert result.support() == result.terms.keys()
+        for e in [*result.terms, (0, 0, 0), (9, -9, 9)]:
+            value = result.coefficient(e)
+            assert value == result.terms.get(e, 0)
+            assert type(value) is type(result.terms.get(e, 0))
+
 
 def test_only_laurent_touches_the_term_format():
     """No module but laurent.py imports a private name from `.laurent` or
-    names `_trusted`, `_accumulate`, `_widen`, `_lowest` or the stored
-    `_num`, `_den` and `_view`; no test does either."""
-    private = {"_trusted", "_accumulate", "_widen", "_lowest", "_num", "_den", "_view"}
+    names `_trusted`, `_accumulate`, `_widen`, `_lowest`, the stored `_num`,
+    `_den` and `_view`, or a context's `_factor_text` table; no test does
+    either."""
+    private = {
+        "_trusted", "_accumulate", "_widen", "_lowest", "_num", "_den", "_view", "_factor_text"
+    }
     package = Path(ssderiv.__file__).parent
     sources = sorted(package.glob("*.py"))
     assert len(sources) > 1
