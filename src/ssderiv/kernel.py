@@ -10,7 +10,9 @@ brute-force enumeration of that monoid serves as an independent oracle.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import index, itemgetter
@@ -18,7 +20,6 @@ from typing import Sequence
 
 from .derivation import DiagonalDerivation
 from .laurent import LaurentPoly, RingCtx
-from .slices import verify_slice
 
 
 @dataclass(frozen=True)
@@ -62,15 +63,28 @@ def _default_uctx(n: int, unames: Sequence[str] | None = None) -> RingCtx:
 
 
 def _require_slice(d: DiagonalDerivation, s: LaurentPoly) -> None:
-    if not s.is_monomial() or not verify_slice(d, s):
-        raise ValueError("s is not a slice: need a single monomial with D(s) = s")
+    """A slice is a monomial c*x^m with <m, weights> = 1, which for a
+    monomial is the same as D(s) = s (slices.verify_slice)."""
+    if s.is_monomial():
+        if s.ctx != d.ctx:
+            raise ValueError("context mismatch")
+        if d.term_weight(s.monomial_exponents()) == 1:
+            return
+    raise ValueError("s is not a slice: need a single monomial with D(s) = s")
 
 
 def _u_images(d: DiagonalDerivation, s: LaurentPoly) -> tuple[LaurentPoly, ...]:
-    """The kernel generators u_i = x_i * s^(-w_i) as elements of d.ctx."""
-    return tuple(
-        LaurentPoly.variable(d.ctx, i) * s ** (-d.weights[i]) for i in range(d.ctx.n)
-    )
+    """The kernel generators u_i = x_i * s^(-w_i) as elements of d.ctx: for
+    the slice s = c*x^m, the monomial c^(-w_i) * x^(e_i - w_i*m)."""
+    m = s.monomial_exponents()
+    c = s.coefficient(m)
+    images = []
+    for i, w in enumerate(d.weights):
+        exps = [-w * e for e in m]
+        exps[i] += 1
+        coeff = 1 if c == 1 else Fraction(c) ** -w
+        images.append(LaurentPoly.monomial(d.ctx, tuple(exps), coeff))
+    return tuple(images)
 
 
 def kernel_generators_localized(
@@ -97,7 +111,7 @@ def slice_coordinates(
     _require_slice(d, s)
     uctx = _default_uctx(d.ctx.n, unames)
     components = {
-        w: LaurentPoly(uctx, component.terms)
+        w: component.renamed(uctx)
         for w, component in d.weight_decompose(p).components.items()
     }
     return SliceCoordinates(uctx=uctx, components=components)
@@ -106,10 +120,30 @@ def slice_coordinates(
 def reconstruct_from_slice_coordinates(
     d: DiagonalDerivation, s: LaurentPoly, coords: SliceCoordinates
 ) -> LaurentPoly:
-    """Inverse of slice_coordinates: substitute u_i -> x_i * s^(-w_i)."""
-    u_images = _u_images(d, s)
-    parts = coords.components.items()
-    return LaurentPoly.sum(d.ctx, (part.substitute(u_images) * s**w for w, part in parts))
+    """Inverse of slice_coordinates: substitute u_i -> x_i * s^(-w_i) and
+    multiply each weight-w part by s^w.
+
+    One pass over the terms, merged once.  With s = c*x^m, a term k*u^a of
+    the weight-w part becomes k * x^a * s^delta, delta = w - <a, weights>,
+    that is k * c^delta * x^(a + delta*m).  Every term that slice_coordinates
+    writes has delta = 0 and keeps its exponents and coefficient.
+    """
+    _require_slice(d, s)
+    m = s.monomial_exponents()
+    c = s.coefficient(m)
+    n = d.ctx.n
+    total: dict[tuple[int, ...], Fraction | int] = {}
+    for w, part in coords.components.items():
+        if part.ctx.n != n:
+            raise ValueError(f"a slice coordinate has {part.ctx.n} variables, expected {n}")
+        for a, coeff in part.terms.items():
+            delta = w - d.term_weight(a)
+            if delta:
+                a = tuple([x + delta * y for x, y in zip(a, m)])
+                if c != 1:
+                    coeff *= Fraction(c) ** delta
+            total[a] = total.get(a, 0) + coeff
+    return LaurentPoly(d.ctx, total)
 
 
 def fraction_kernel_element(
@@ -266,19 +300,25 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     only the values k for which the weights the remaining coordinates can
     still reach with budget r - k, the interval
     [s + k*w_j + (r-k)*min(0, suffix), s + k*w_j + (r-k)*max(0, suffix)],
-    contains 0; two floor divisions give that range of k.  The walk only
-    skips branches that cannot reach weight 0, so it lists every solution
-    and shares nothing with hilbert_basis.
+    contains 0; two floor divisions give that range of k (_value_range).
+    The walk only skips branches that cannot reach weight 0, so it lists
+    every solution and shares nothing with hilbert_basis.
 
-    The last two coordinates are solved in closed form.  Within that range,
-    the values k of the second-to-last coordinate that leave an integer last
-    coordinate m = -(s + k*w_pen) / w_last are one residue class modulo
-    |w_last| / gcd(w_pen, w_last), found with a modular inverse.  When
-    w_last is 0, or there is one coordinate, the last coordinate is solved
-    directly, by one divmod.
+    The last three coordinates are one loop.  The node before the
+    third-from-last coordinate (the head) runs through the head's values,
+    carrying the partial weight and the budget from one value to the next,
+    and for each solves the last two coordinates in closed form: within
+    their range, the values k of the second-to-last coordinate that leave
+    an integer last coordinate m = -(s + k*w_pen) / w_last are one residue
+    class modulo |w_last| / gcd(w_pen, w_last), found with a modular
+    inverse, and m moves by a fixed amount from one k to the next.  With
+    two coordinates the root is that node, for a virtual head that takes
+    only the value 0.  When w_last is 0, or there is one coordinate, the
+    walk goes down to the last coordinate and solves it directly, by one
+    divmod.
 
-    Solutions are collected in a dict keyed by their total degree; each
-    bucket is sorted and the buckets are joined in increasing degree.
+    Solutions go into lists keyed by their total degree (a defaultdict);
+    each list is sorted and the lists are joined in increasing degree.
     Nothing is allocated per unit of the degree bound, so a huge bound with
     few solutions costs no memory.
     """
@@ -296,7 +336,7 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     back = [0] * n
     for position, i in enumerate(order):
         back[i] = position
-    restore = itemgetter(*back) if n > 1 else tuple
+    restore = itemgetter(*back) if n > 1 else lambda walked: (walked[0],)
     # lows[j], highs[j]: least and greatest weight per unit of degree that
     # coordinates j.. can add, counting the option of adding nothing
     lows = [0] * (n + 1)
@@ -304,17 +344,78 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     for j in range(n - 1, -1, -1):
         lows[j] = min(lows[j + 1], ws[j])
         highs[j] = max(highs[j + 1], ws[j])
-    last = n - 1
-    w_last = ws[last]
-    w_pen = ws[last - 1] if n > 1 else 0
-    g = gcd(w_pen, w_last)
-    # k*w_pen + m*w_last = -s has an integer m exactly when g divides s and
-    # k == (-s/g) * inverse modulo step
-    step = abs(w_last) // g if w_last else 0
-    inverse = pow(w_pen // g, -1, step) if step > 1 else 0
     # total degree -> the solutions of that degree, in caller order
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    prefix = [0] * n
+    buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+    # the values chosen so far, in walk order; with two coordinates, slot n
+    # holds the virtual head
+    prefix = [0] * (n + 1)
+    last = n - 1
+    pen = last - 1
+    w_last = ws[last]
+    head = -1  # none: the walk goes down to the last coordinate
+    if n > 1 and w_last:
+        head = pen - 1 if n > 2 else n
+        w_pen = ws[pen]
+        # the second-to-last coordinate's range: _value_range, inlined for
+        # speed, with the slopes fixed
+        low, high = lows[last], highs[last]
+        slope_low, slope_high = w_pen - low, w_pen - high
+        g = gcd(w_pen, w_last)
+        # k*w_pen + m*w_last = -s has an integer m exactly when g divides s
+        # and k == (-s/g) * inverse modulo step; m then moves by shift from
+        # one such k to the next, and the total degree by advance
+        step = abs(w_last) // g
+        inverse = pow(w_pen // g, -1, step) if step > 1 else 0
+        shift = -(w_pen // g) if w_last > 0 else w_pen // g
+        advance = step + shift
+
+        def tail(s: int, r: int, h_min: int, h_max: int, w_head: int) -> None:
+            """Every solution below the node at partial weight s and budget
+            r, whose head takes the values h_min..h_max."""
+            s += h_min * w_head
+            r -= h_min
+            for h in range(h_min, h_max + 1):
+                if not s % g:
+                    k_min, k_max = 0, r
+                    base = s + r * low
+                    if slope_low > 0:
+                        top = -base // slope_low
+                        if top < k_max:
+                            k_max = top
+                    elif slope_low < 0:
+                        bottom = -(-base // -slope_low)
+                        if bottom > k_min:
+                            k_min = bottom
+                    elif base > 0:
+                        k_max = -1
+                    base = s + r * high
+                    if slope_high > 0:
+                        bottom = -(base // slope_high)
+                        if bottom > k_min:
+                            k_min = bottom
+                    elif slope_high < 0:
+                        top = base // -slope_high
+                        if top < k_max:
+                            k_max = top
+                    elif base < 0:
+                        k_max = -1
+                    first = k_min + ((-s // g) * inverse - k_min) % step
+                    if first <= k_max:
+                        prefix[head] = h
+                        m = (-s - first * w_pen) // w_last
+                        total = degree - r + first + m
+                        for k in range(first, k_max + 1, step):
+                            prefix[pen] = k
+                            prefix[last] = m
+                            buckets[total].append(restore(prefix))
+                            m += shift
+                            total += advance
+                s += w_head
+                r -= 1
+
+        if n == 2:
+            tail(0, degree, 0, 0, 0)
+            return _joined(buckets)
     # the walk keeps its path in arrays, not on the call stack, so any
     # number of coordinates works: before coordinate j the partial weight is
     # sums[j] and the degree left budgets[j]; tops[j] is the largest value
@@ -331,50 +432,19 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
                 if s == 0:
                     for k in range(r + 1):
                         prefix[last] = k
-                        buckets.setdefault(degree - r + k, []).append(restore(prefix))
+                        buckets[degree - r + k].append(restore(prefix))
             else:
                 k, rest = divmod(-s, w_last)
                 if not rest and 0 <= k <= r:
                     prefix[last] = k
-                    buckets.setdefault(degree - r + k, []).append(restore(prefix))
+                    buckets[degree - r + k].append(restore(prefix))
         else:
-            w, low, high = ws[j], lows[j + 1], highs[j + 1]
-            k_min, k_max = 0, r
-            # lowest reachable weight s + r*low + k*(w - low) must be <= 0
-            base, slope = s + r * low, w - low
-            if slope > 0:
-                top = -base // slope
-                if top < k_max:
-                    k_max = top
-            elif slope < 0:
-                bottom = -(-base // -slope)
-                if bottom > k_min:
-                    k_min = bottom
-            elif base > 0:
-                k_max = -1
-            # highest reachable weight s + r*high + k*(w - high) must be >= 0
-            base, slope = s + r * high, w - high
-            if slope > 0:
-                bottom = -(base // slope)
-                if bottom > k_min:
-                    k_min = bottom
-            elif slope < 0:
-                top = base // -slope
-                if top < k_max:
-                    k_max = top
-            elif base < 0:
-                k_max = -1
-            if j == last - 1 and w_last:
-                if not s % g:
-                    used = degree - r
-                    first = k_min + ((-s // g) * inverse - k_min) % step
-                    for k in range(first, k_max + 1, step):
-                        prefix[j] = k
-                        m = prefix[last] = (-s - k * w) // w_last
-                        buckets.setdefault(used + k + m, []).append(restore(prefix))
+            k_min, k_max = _value_range(s, r, ws[j], lows[j + 1], highs[j + 1])
+            if j == head:
+                tail(s, r, k_min, k_max, ws[j])
             elif k_min <= k_max:
                 prefix[j], tops[j] = k_min, k_max
-                sums[j + 1], budgets[j + 1] = s + k_min * w, r - k_min
+                sums[j + 1], budgets[j + 1] = s + k_min * ws[j], r - k_min
                 j += 1
                 continue
         # back up to the deepest open coordinate with a value left, and step it
@@ -386,8 +456,45 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
         k = prefix[j] = prefix[j] + 1
         sums[j + 1], budgets[j + 1] = sums[j] + k * ws[j], budgets[j] - k
         j += 1
+    return _joined(buckets)
 
-    # the walk order is not the caller's, so each bucket is sorted on its own
+
+def _value_range(s: int, r: int, w: int, low: int, high: int) -> tuple[int, int]:
+    """The values k of a coordinate of weight w, at partial weight s and
+    budget r, for which the coordinates after it, which add between low and
+    high per unit of degree (low <= 0 <= high), can still bring the weight to
+    0 with the budget r - k left; empty when k_min > k_max."""
+    k_min, k_max = 0, r
+    # lowest reachable weight s + r*low + k*(w - low) must be <= 0
+    base, slope = s + r * low, w - low
+    if slope > 0:
+        top = -base // slope
+        if top < k_max:
+            k_max = top
+    elif slope < 0:
+        bottom = -(-base // -slope)
+        if bottom > k_min:
+            k_min = bottom
+    elif base > 0:
+        return 0, -1
+    # highest reachable weight s + r*high + k*(w - high) must be >= 0
+    base, slope = s + r * high, w - high
+    if slope > 0:
+        bottom = -(base // slope)
+        if bottom > k_min:
+            k_min = bottom
+    elif slope < 0:
+        top = base // -slope
+        if top < k_max:
+            k_max = top
+    elif base < 0:
+        return 0, -1
+    return k_min, k_max
+
+
+def _joined(buckets: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The buckets' solutions by increasing degree, each bucket sorted: the
+    walk order is not the caller's."""
     return [a for total in sorted(buckets) for a in sorted(buckets[total])]
 
 

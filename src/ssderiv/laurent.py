@@ -170,7 +170,8 @@ class LaurentPoly:
     are, after dividing out their common factor, and is for this module
     only: its callers hand over nonzero `int` numerators, in a dict nothing
     else holds.  Other modules build results with the public constructor,
-    the ring operations, `sum`, `split`, `scale_by` and `divide_by`, and read
+    `monomial`, the ring operations, `sum`, `split`, `scale_by`, `divide_by`
+    and `renamed`, and read
     coefficients through `terms`, `coefficient` and `support`.
     """
 
@@ -228,6 +229,13 @@ class LaurentPoly:
         """The exponent tuples of the terms, as a read-only keys view."""
         return self._num.keys()
 
+    def renamed(self, ctx: RingCtx) -> "LaurentPoly":
+        """The same terms over ctx, a context with as many variables: the
+        variables renamed, in order."""
+        if ctx.n != self.ctx.n:
+            raise ValueError(f"a ring with {ctx.n} variables cannot take {self.ctx.n}")
+        return LaurentPoly._trusted(ctx, dict(self._num), self._den)
+
     # ------------------------------------------------------------------
     # constructors
 
@@ -259,6 +267,16 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, ctx: RingCtx, exps: Sequence[int], coeff=1) -> "LaurentPoly":
+        """coeff * x^exps; a tuple of ctx.n ints with the int coefficient 1
+        is taken as it is, anything else is checked as by the constructor."""
+        if (
+            type(coeff) is int
+            and coeff == 1
+            and type(exps) is tuple
+            and len(exps) == ctx.n
+            and all([type(e) is int for e in exps])
+        ):
+            return cls._trusted(ctx, {exps: 1})
         return cls(ctx, {tuple(exps): coeff})
 
     # ------------------------------------------------------------------
@@ -534,9 +552,14 @@ class LaurentPoly:
                 out.append(" + ")
             factors = table.get(exps)
             if factors is None:
-                factors = "*".join(
-                    [n if e == 1 else f"{n}^{int_to_decimal(e)}" for n, e in zip(names, exps) if e]
-                )
+                try:
+                    factors = "*".join(
+                        [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]
+                    )
+                except ValueError:  # an exponent past the interpreter's digit limit
+                    factors = "*".join(
+                        [n if e == 1 else f"{n}^{int_to_decimal(e)}" for n, e in zip(names, exps) if e]
+                    )
                 if len(table) < _FACTOR_TEXT_LIMIT:
                     table[exps] = factors
             if den == 1:
@@ -569,6 +592,19 @@ class LaurentPoly:
 # and one coefficient; only a parenthesised factor uses polynomial * and **.
 
 MAX_NESTING = 200
+
+# A power of a number in the text, p^k or (p/q)^k, is refused before it is
+# taken when k times the bit length of the larger of p and q is over this
+# bound, about 1.26 million decimal digits; a power of 0 or 1 is never
+# refused.  Text such as 10^ followed by a 30-digit exponent would otherwise
+# ask for an integer of ~10^29 digits.
+MAX_POWER_BITS = 1 << 22
+
+
+def _power_too_big(p: int, q: int, k: int) -> bool:
+    """Whether (p/q)^k, for p >= 0, q >= 1 and k >= 0, is over MAX_POWER_BITS."""
+    return (p > 1 or q > 1) and k * max(p, q).bit_length() > MAX_POWER_BITS
+
 
 _TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
 _BAD_CHAR_RE = re.compile(r"[^0-9A-Za-z_+\-*/^()\s]")
@@ -650,6 +686,8 @@ class _Parser:
                         if not p:
                             raise ValueError("not a unit")
                         p, q, k = q, p, -k
+                    if _power_too_big(p, q, k):
+                        self.fail(f"power of a number over {MAX_POWER_BITS} bits", self.pos - 1)
                     p, q = p**k, q**k
                 num *= p
                 den *= q
@@ -663,7 +701,12 @@ class _Parser:
                 if tokens[self.pos - 1] != ")":
                     self.fail("expected ')'", self.pos - 1)
                 if tokens[self.pos] == "^":
-                    factor = factor ** self.exponent()
+                    k = self.exponent()
+                    if factor.is_monomial():
+                        (top,) = factor._num.values()
+                        if _power_too_big(abs(top), factor._den, abs(k)):
+                            self.fail(f"power of a number over {MAX_POWER_BITS} bits", self.pos - 1)
+                    factor = factor**k
                 poly = factor if poly is None else poly * factor
             elif token.isidentifier():
                 self.fail(f"unknown variable '{token}'", self.pos - 1)
@@ -715,8 +758,9 @@ def _ascii_int(text: str) -> int | None:
 def _flat_factor(factor: str, names: tuple[str, ...]) -> tuple[int, int, int] | None:
     """One factor of a flat term: (i, k, 1) for names[i]^k, (-1, p, q) for
     the rational p/q (a power of one included), or None where `factor` is
-    not plainly well formed or is a negative power of 0.  A '~' right after
-    the '^' stands for the exponent's '-'."""
+    not plainly well formed, is a negative power of 0 or is a power over
+    MAX_POWER_BITS.  A '~' right after the '^' stands for the exponent's
+    '-'."""
     base, caret, power = factor.partition("^")
     k = 1
     if caret:
@@ -738,6 +782,8 @@ def _flat_factor(factor: str, names: tuple[str, ...]) -> tuple[int, int, int] | 
         if not p:
             return None  # not a unit
         p, q, k = q, p, -k
+    if caret and _power_too_big(p, q, k):
+        return None
     return -1, p**k, q**k
 
 
@@ -751,9 +797,9 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
     '^' and '/'.  Whitespace may surround every piece and is stripped; inside
     a piece it fails the digit and name checks, so two tokens with only
     whitespace between them are never accepted.  A sign after '^' and
-    whitespace, a negative power of 0 and every syntax error give None, and
-    the recursive descent decides them.  Each distinct factor text is read
-    once per call.
+    whitespace, a negative power of 0, a power over MAX_POWER_BITS and every
+    syntax error give None, and the recursive descent decides them.  Each
+    distinct factor text is read once per call.
     """
     if "(" in text or ")" in text or "~" in text:
         return None
@@ -807,9 +853,10 @@ def parse(text: str, ctx: RingCtx) -> LaurentPoly:
     the descent raises.
 
     Raises ParseError, with line and column, for a syntax error, a non-ASCII
-    character, an unknown variable or parentheses nested more than
-    MAX_NESTING (200) levels deep, and ValueError("not a unit") for a
-    negative power of a non-monomial.
+    character, an unknown variable, parentheses nested more than
+    MAX_NESTING (200) levels deep or a power of a number, or of a
+    parenthesised monomial's coefficient, over MAX_POWER_BITS (2^22) bits,
+    and ValueError("not a unit") for a negative power of a non-monomial.
     """
     poly = _parse_flat(text, ctx)
     return poly if poly is not None else _Parser(text, ctx).run()

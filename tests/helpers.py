@@ -193,6 +193,21 @@ def reference_image_decompose(d: DiagonalDerivation, p: LaurentPoly):
     return True, LaurentPoly.sum(p.ctx, (part * Fraction(1, w) for w, part in parts))
 
 
+def reference_u_images(d: DiagonalDerivation, s: LaurentPoly) -> tuple[LaurentPoly, ...]:
+    """The kernel generators u_i = x_i * s^(-w_i) as they were built before
+    the slice paths worked on exponents: a variable times a power of s."""
+    return tuple(LaurentPoly.variable(d.ctx, i) * s ** (-w) for i, w in enumerate(d.weights))
+
+
+def reference_reconstruct(d: DiagonalDerivation, s: LaurentPoly, coords) -> LaurentPoly:
+    """Slice coordinates resummed as they were before the one-pass version:
+    each weight-w part substitutes u_i -> reference_u_images(d, s)[i] and is
+    multiplied by s^w.  Does not check that s is a slice."""
+    images = reference_u_images(d, s)
+    parts = coords.components.items()
+    return LaurentPoly.sum(d.ctx, (part.substitute(images) * s**w for w, part in parts))
+
+
 def reference_hilbert_basis(weights) -> tuple[tuple[int, ...], ...]:
     """Unindexed Hilbert completion: the same breadth-first search as
     ssderiv.hilbert_basis, but every candidate is compared with every

@@ -98,6 +98,13 @@ class TestSliceCoordinates:
         coords = slice_coordinates(d((2, -3)), parse("x^2*y", CTX_XY), parse("x^3*y^2", CTX_XY))
         assert {w: str(c) for w, c in coords.components.items()} == {0: "u1^3*u2^2"}
 
+    def test_reconstruction_rejects_a_non_slice(self):
+        dd = d((2, -3))
+        coords = slice_coordinates(dd, parse("x^2*y", CTX_XY), parse("x^3*y^2 + x", CTX_XY))
+        for bad in (X * Y, X + Y, parse("x^2*y + x^-1*y^-1", CTX_XY), LaurentPoly.zero(CTX_XY)):
+            with pytest.raises(ValueError, match="not a slice"):
+                reconstruct_from_slice_coordinates(dd, bad, coords)
+
     def test_reconstruction_is_exact(self):
         rng = random.Random(91)
         for _ in range(100):
@@ -316,6 +323,19 @@ def enumerable_cases(draw):
 @example(([3, -3, 3, -3], 6))
 @example(([0, 2, 0, -1, 0], 5))
 @example(([1, -1, 2, -2, 3, -3], 3))
+# three coordinates: the loop over the head sits at the root
+@example(([3, -2, 1], 6))
+@example(([-1, 1, 1], 6))
+# a zero weight in the third-from-last slot of the walk (so in the last two)
+@example(([0, 0, 3, 0], 6))
+@example(([4, -3, 0, 0, 0], 5))
+# w_last = 0 with three or more coordinates: the walk solves the last one
+@example(([3, -3, 0], 6))
+@example(([2, -1, 1, 0], 6))
+# gcd(w_pen, w_last) > 1, so the residue class has a step > 1
+@example(([-9, 6, 4], 6))
+@example(([8, -9, 6], 6))
+@example(([6, 9, -4, -7], 6))
 def test_oracle_matches_direct_enumeration(case):
     ws, degree = case
     expected = sorted(

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ssderiv import LaurentPoly, ParseError, RingCtx, parse
-from ssderiv.laurent import MAX_NESTING
+from ssderiv.laurent import MAX_NESTING, MAX_POWER_BITS
 
-from helpers import CTX_XY, CTX_XYZ, monomials, polys, random_poly
+from helpers import CTX_XY, CTX_XYZ, assert_canonical, monomials, polys, random_poly
 
 
 class TestRingCtx:
@@ -41,6 +42,27 @@ class TestConstruction:
         for bad in (2, 5, -1):
             with pytest.raises(ValueError, match="out of range"):
                 LaurentPoly.variable(CTX_XY, bad)
+
+    def test_monomial_checks_anything_but_an_int_tuple_with_coefficient_1(self):
+        assert LaurentPoly.monomial(CTX_XY, (2, -1)).terms == {(2, -1): 1}
+        for exps, key in (([2, -1], (2, -1)), ((True, -1), (1, -1)), (range(3, 1, -1), (3, 2))):
+            p = LaurentPoly.monomial(CTX_XY, exps)
+            assert p.terms == {key: 1}
+            assert_canonical(p)
+        assert LaurentPoly.monomial(CTX_XY, (2, -1), Fraction(1)).terms == {(2, -1): 1}
+        with pytest.raises(ValueError, match="length"):
+            LaurentPoly.monomial(CTX_XY, (1, 2, 3))
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(CTX_XY, (1.0, 2))
+
+    def test_renamed_keeps_the_terms(self):
+        uv = RingCtx(("u", "v"))
+        p = parse("3/2*x^2*y^-1 - y + 5", CTX_XY)
+        q = p.renamed(uv)
+        assert q.ctx == uv and q.terms == p.terms and str(q) == "3/2*u^2*v^-1 - v + 5"
+        assert q.renamed(CTX_XY) == p
+        with pytest.raises(ValueError, match="3 variables"):
+            p.renamed(CTX_XYZ)
 
     def test_partial_index_out_of_range(self):
         p = parse("x*y^2", CTX_XY)
@@ -233,6 +255,40 @@ class TestParseLimits:
             (0, 0): 3 * ones,
         }
         assert p == parse(f"({text})", CTX_XY)
+
+    HUGE_K = "1" + "0" * 29  # an exponent of 30 digits
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            (f"10^{HUGE_K}", 4),
+            (f"x + 10^{HUGE_K}*y", 8),
+            (f"(10^{HUGE_K})", 5),
+            (f"(10)^{HUGE_K}", 6),
+            (f"(-3/2*x)^-{HUGE_K}", 11),
+            (f"2/3^-{HUGE_K}", 6),
+            (f"0/5^{HUGE_K}", 5),
+            ("3^2097153", 3),
+        ],
+    )
+    def test_huge_power_of_a_number_is_refused(self, text, col):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse(text, CTX_XY)
+        assert time.perf_counter() - start < 1
+        message = f"power of a number over {MAX_POWER_BITS} bits"
+        assert str(info.value) == f"{message} (line 1, column {col})"
+
+    def test_powers_up_to_the_bound_and_of_0_and_1_parse(self):
+        start = time.perf_counter()
+        text = f"0^{self.HUGE_K}*y + 1^{self.HUGE_K} + 1/1^-{self.HUGE_K} - x^{self.HUGE_K} + (-1)^{self.HUGE_K}"
+        assert parse(text, CTX_XY).terms == {(0, 0): 3, (10**29, 0): -1}
+        assert parse(f"(x*y^-1)^{self.HUGE_K}", CTX_XY).terms == {(10**29, -(10**29)): 1}
+        assert time.perf_counter() - start < 1
+        # k times the bit length 2 of 2 (or 3) is 2^22 = MAX_POWER_BITS here
+        assert parse("2^2097152", CTX_XY).terms == {(0, 0): 2**2097152}
+        assert parse("(2)^2097152", CTX_XY) == parse("4^1048576", CTX_XY) == parse("2^2097152", CTX_XY)
+        assert parse("1/3^-2097152", CTX_XY).terms == {(0, 0): 3**2097152}
 
     def test_deep_nesting_fails_fast(self):
         depth = 10_000

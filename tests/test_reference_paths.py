@@ -1,26 +1,42 @@
-"""Differential tests: `substitute`, `__str__` and `image_decompose` must
+"""Differential tests: `substitute`, `__str__`, `image_decompose`, the
+localized kernel generators and `reconstruct_from_slice_coordinates` must
 give exactly what the reference versions in helpers.py give, results and
 errors alike, and `parse` must read parenthesis-free text, which it reads
 with string splits, exactly as it reads the same text in parentheses, which
 only its recursive descent reads."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ssderiv import DiagonalDerivation, LaurentPoly, RingCtx, parse
+from ssderiv import (
+    DiagonalDerivation,
+    LaurentPoly,
+    RingCtx,
+    SliceCoordinates,
+    build_slice,
+    kernel_generators_localized,
+    parse,
+    reconstruct_from_slice_coordinates,
+    slice_coordinates,
+)
 
 from helpers import (
     CTX_X,
     CTX_XY,
     CTX_XYZ,
     assert_canonical,
+    coefficients,
+    exponent_vectors,
     monomials,
     polys,
     reference_image_decompose,
+    reference_reconstruct,
     reference_str,
     reference_substitute,
+    reference_u_images,
     weight_vectors,
 )
 
@@ -128,6 +144,78 @@ def test_image_decompose_matches_reference(case):
     if hit:
         assert_canonical(preimage)
         assert d.apply(preimage) == p
+
+
+@st.composite
+def slices(draw):
+    """A derivation with coprime weights and one of its slices c*x^m: the
+    Bezout slice x^b moved to m = v + (1 - <v, w>) * b for a drawn vector v,
+    times a coefficient c that is often not 1."""
+    ctx = draw(st.sampled_from(CONTEXTS))
+    ws = draw(weight_vectors(ctx.n, bound=5).filter(lambda ws: gcd(*ws) == 1))
+    d = DiagonalDerivation(ctx, ws)
+    b = build_slice(d).m
+    v = draw(exponent_vectors(ctx.n, bound=3))
+    t = 1 - d.term_weight(v)
+    c = draw(st.sampled_from((1, -1, Fraction(3, 2))) | coefficients().filter(bool))
+    return d, LaurentPoly.monomial(ctx, tuple(x + t * y for x, y in zip(v, b)), c)
+
+
+def uctx_of(d):
+    return RingCtx(tuple(f"u{i + 1}" for i in range(d.ctx.n)))
+
+
+D23 = DiagonalDerivation(CTX_XY, (2, -3))
+U23 = uctx_of(D23)
+
+
+@given(slices())
+@example((D23, parse("3/2*x^2*y", CTX_XY)))
+@example((D23, parse("-x^-1*y^-1", CTX_XY)))
+@example((DiagonalDerivation(CTX_XYZ, (0, 1, -4)), parse("5/7*x^3*y", CTX_XYZ)))
+def test_u_images_match_reference(case):
+    d, s = case
+    u = kernel_generators_localized(d, s).u
+    assert u == reference_u_images(d, s)
+    for image in u:
+        assert_canonical(image)
+
+
+@st.composite
+def slice_coordinate_cases(draw):
+    """A derivation, a slice s and slice coordinates for it: those that
+    slice_coordinates writes for a polynomial, or hand-built ones whose
+    weight-w part holds terms of any weight."""
+    d, s = draw(slices())
+    if draw(st.booleans()):
+        p = draw(polys(d.ctx, max_terms=6, exp_bound=3))
+        return d, s, slice_coordinates(d, s, p)
+    parts = st.dictionaries(st.integers(-6, 6), polys(uctx_of(d), max_terms=4, exp_bound=3), max_size=4)
+    return d, s, SliceCoordinates(uctx=uctx_of(d), components=draw(parts))
+
+
+@given(slice_coordinate_cases())
+# terms of other weights (delta != 0) under a slice with coefficient 3/2
+@example((D23, parse("3/2*x^2*y", CTX_XY),
+          SliceCoordinates(U23, {1: parse("u1^2 + 5*u2^-1", U23), -2: parse("7/3*u1*u2", U23)})))
+# u^a and u^(a + m) land on one monomial and cancel: 1 * (3/2)^-1 - 3/2 * (3/2)^-2 = 0
+@example((D23, parse("3/2*x^2*y", CTX_XY),
+          SliceCoordinates(U23, {0: parse("u1^2*u2 - 3/2*u1^4*u2^2", U23)})))
+@example((D23, parse("x^2*y", CTX_XY), SliceCoordinates(U23, {})))
+def test_reconstruct_matches_reference(case):
+    d, s, coords = case
+    got = reconstruct_from_slice_coordinates(d, s, coords)
+    assert got == reference_reconstruct(d, s, coords)
+    assert_canonical(got)
+
+
+@given(slices(), st.data())
+def test_slice_coordinates_round_trip_under_any_slice(case, data):
+    d, s = case
+    p = data.draw(polys(d.ctx, max_terms=6, exp_bound=3))
+    coords = slice_coordinates(d, s, p)
+    assert reconstruct_from_slice_coordinates(d, s, coords) == p
+    assert LaurentPoly.sum(d.ctx, (c.renamed(d.ctx) for c in coords.components.values())) == p
 
 
 def test_str_is_the_same_with_a_cold_a_warm_and_a_full_table():
