@@ -283,9 +283,10 @@ def cmd_check_locfin(problem: Problem, bound: int | None) -> Report:
     elif isinstance(verdict, NotLocallyFinite):
         chain = " -> ".join(str(p) for p in verdict.chain)
         report.lines.append(f"NOT locally finite: witness {chain}")
-    else:
-        assert isinstance(verdict, Inconclusive)
+    elif isinstance(verdict, Inconclusive):
         report.lines.append(f"inconclusive at bound {verdict.bound}")
+    else:
+        raise RuntimeError(f"unknown finiteness verdict {verdict!r}")
     return report
 
 

@@ -10,8 +10,16 @@ includes everything the printer writes, is first read by a fast path of
 string splits; on any text it does not fully accept, that path gives up
 without raising, and the recursive descent reads the text instead.  The
 descent is the only path for parenthesised text and the only source of
-ParseError.  The printer keeps, per ring context, a bounded table from
-exponent vector to factor text, so a monomial printed before costs one lookup.
+ParseError.
+
+Each ring context keeps a two-way monomial table, each way bounded at
+_FACTOR_TEXT_LIMIT entries: exponent vector to factor text, which only the
+printer fills, so a monomial printed before costs one lookup; and factor text
+to exponent vector, which the printer fills with every text it builds and the
+fast path with every term it reads whose factors are all variables, so a
+monomial printed or read before is read again with one lookup.  The printer
+builds a new factor text from power texts ("y^-1") that every context with
+the same variable name shares.
 """
 
 from __future__ import annotations
@@ -19,9 +27,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
-from operator import add, index
+from operator import add, getitem, index
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .numtheory import decimal_to_int, int_to_decimal
@@ -42,9 +51,20 @@ class ParseError(ValueError):
 class RingCtx:
     """Ordered variable context of a Laurent polynomial ring over Q.
 
-    Each instance also carries the printer's factor-text table (see
-    `LaurentPoly.__str__`).  It is not a dataclass field, so equality, hash,
-    repr and `dataclasses.replace` never see it.
+    Each instance also carries a two-way monomial table: `_factor_text`,
+    from exponent tuple to factor text ("x^2*y^-1"), and `_factor_exps`, from
+    factor text in the fast parser's form ("x^2*y^~1") back to the exponent
+    tuple.  The printer fills both ways (see `LaurentPoly.__str__`) and the
+    parser the second (see `parse`); each way stops growing at
+    _FACTOR_TEXT_LIMIT entries.  Every entry of `_factor_exps` is the tuple
+    that the parser's factor loop computes for its text, so a lookup and a
+    fresh read agree, and `parse(str(p)) == p` holds with the table cold,
+    warm or full.  The printer builds a factor text it has no entry for
+    from `_power_text`, one table per variable from exponent to power text
+    ("y^-1"), which contexts share by variable name (see `_power_texts`).
+    The tables are not dataclass fields, so equality, hash, repr and
+    `dataclasses.replace` never see them; two equal contexts each have
+    their own monomial table.
     """
 
     names: tuple[str, ...]
@@ -53,6 +73,7 @@ class RingCtx:
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_factor_text", {})
+        object.__setattr__(self, "_factor_exps", {})
         if not names:
             raise ValueError("a ring context needs at least one variable")
         for name in names:
@@ -60,6 +81,7 @@ class RingCtx:
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be pairwise distinct")
+        object.__setattr__(self, "_power_text", tuple(map(_power_texts, names)))
 
     @property
     def n(self) -> int:
@@ -144,10 +166,44 @@ def _rational(num: int, den: int) -> Fraction | int:
     return num // den if num % den == 0 else Fraction(num, den)
 
 
-# The most entries a ring context's factor-text table takes; a full table
-# stops growing and the printer builds the text of any other monomial each
-# time.  The largest context of the `algebra` benchmark reaches 1,106.
+# The most entries each way of a ring context's monomial table takes; a full
+# table stops growing, and the printer builds, and the parser reads, the text
+# of any other monomial each time.  The largest context of the `algebra`
+# benchmark reaches about 1,130 entries either way.
 _FACTOR_TEXT_LIMIT = 4096
+
+
+# The most exponents a variable's power texts keep, and the most variable
+# names whose power texts are kept for the life of the process.  Together
+# they bound that memory at 64 * 1024 short strings.
+_POWER_TEXT_LIMIT = 1024
+_POWER_NAMES = 64
+
+
+class _PowerTexts(dict):
+    """Exponent -> the printer's text of one variable to that power: "" for
+    0, the name, which is kept as the entry for 1, and "name^e" for any
+    other e, built on first use.  At most _POWER_TEXT_LIMIT are kept."""
+
+    __slots__ = ()
+
+    def __missing__(self, e: int) -> str:
+        name = self[1]
+        try:
+            text = f"{name}^{e}"
+        except ValueError:  # an exponent past the interpreter's digit limit
+            text = f"{name}^{int_to_decimal(e)}"
+        if len(self) < _POWER_TEXT_LIMIT:
+            self[e] = text
+        return text
+
+
+@lru_cache(maxsize=_POWER_NAMES)
+def _power_texts(name: str) -> _PowerTexts:
+    """The power texts of the variable `name`.  They depend on nothing
+    else, so every ring context with that name shares one table, and a
+    context built for each job starts with the texts of the jobs before."""
+    return _PowerTexts({0: "", 1: name})
 
 
 class LaurentPoly:
@@ -159,9 +215,9 @@ class LaurentPoly:
     gcd(_den, every numerator) == 1; the zero polynomial is ({}, 1).  Each
     value has one stored form, which `==` and `hash` compare.  Nothing is
     mutated after construction; all operations return fresh values, so
-    sharing across threads is safe.  (The printer's table on the ring
-    context does grow, one whole entry at a time: threads that print at
-    once may both build a text, and may each add one entry past the
+    sharing across threads is safe.  (The monomial table on the ring
+    context does grow, one whole entry at a time: threads that print or
+    parse at once may both build an entry, and may each add one past the
     table's bound.)
 
     The public constructor takes any `int` or `Fraction` coefficients and
@@ -526,25 +582,45 @@ class LaurentPoly:
         variable) and `*`-joined factors `x`, `x^3`, `x^-2`; "0" for zero.
 
         The factor text of a monomial ("x^2*y^-1", "" for the constant) is
-        built once per ring context: the context's table keeps it for every
-        later print, until the table holds _FACTOR_TEXT_LIMIT entries.
-        Integers of any length are printed exactly.
+        joined from the context's power texts once per ring context: the
+        context's table keeps it for every later print, and keeps the way
+        back from it to the exponent tuple for `parse`, until each way holds
+        _FACTOR_TEXT_LIMIT entries.  The reverse entry, the text with "^-"
+        written "^~", is the tuple the parser's factor loop reads from that
+        text, because that loop reads back exactly the factors written here.
+        Coefficients are formatted with `str`, and the whole text again with
+        `int_to_decimal` when one of them is past the interpreter's digit
+        limit; power texts fall back the same way.  So integers of any
+        length are printed exactly.
         """
-        nums = self._num
-        if not nums:
+        if not self._num:
             return "0"
-        names = self.ctx.names
-        table = self.ctx._factor_text
+        try:
+            return self._text(str)
+        except ValueError:  # an integer past the interpreter's digit limit
+            return self._text(int_to_decimal)
+
+    def _text(self, decimal: Callable[[int], str]) -> str:
+        """The text `__str__` describes, with integers formatted by `decimal`."""
+        nums = self._num
+        ctx = self.ctx
+        powers = ctx._power_text
+        table = ctx._factor_text
+        back = ctx._factor_exps
         common = self._den
+        # gcd(num, common) -> "/" and the reduced denominator, "" when it is 1
+        suffixes: dict[int, str] = {}
         out = []
         for exps in sorted(nums, reverse=True):
             num = nums[exps]
-            den = common
-            if den != 1:  # num/den in lowest terms
-                g = gcd(num, den)
+            suffix = ""
+            if common != 1:  # num/common in lowest terms
+                g = gcd(num, common)
+                suffix = suffixes.get(g)
+                if suffix is None:
+                    suffix = suffixes[g] = "" if g == common else "/" + decimal(common // g)
                 if g != 1:
                     num //= g
-                    den //= g
             if num < 0:
                 out.append(" - " if out else "-")
                 num = -num
@@ -552,25 +628,17 @@ class LaurentPoly:
                 out.append(" + ")
             factors = table.get(exps)
             if factors is None:
-                try:
-                    factors = "*".join(
-                        [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]
-                    )
-                except ValueError:  # an exponent past the interpreter's digit limit
-                    factors = "*".join(
-                        [n if e == 1 else f"{n}^{int_to_decimal(e)}" for n, e in zip(names, exps) if e]
-                    )
+                factors = "*".join(filter(None, map(getitem, powers, exps)))
                 if len(table) < _FACTOR_TEXT_LIMIT:
                     table[exps] = factors
-            if den == 1:
-                if num == 1 and factors:
-                    out.append(factors)
-                    continue
-                out.append(int_to_decimal(num))
+                if factors and len(back) < _FACTOR_TEXT_LIMIT:
+                    back[factors.replace("^-", "^~")] = exps
+            if not factors:
+                out.append(decimal(num) + suffix)
+            elif num == 1 and not suffix:
+                out.append(factors)
             else:
-                out.append(f"{int_to_decimal(num)}/{int_to_decimal(den)}")
-            if factors:
-                out.append("*" + factors)
+                out.append(f"{decimal(num)}{suffix}*{factors}")
         return "".join(out)
 
     def __repr__(self) -> str:
@@ -778,11 +846,13 @@ def _flat_factor(factor: str, names: tuple[str, ...]) -> tuple[int, int, int] | 
     q = _ascii_int(q) if slash else 1
     if p is None or not q:  # q is None or 0
         return None
+    if not caret:
+        return -1, p, q
     if k < 0:
         if not p:
             return None  # not a unit
         p, q, k = q, p, -k
-    if caret and _power_too_big(p, q, k):
+    if _power_too_big(p, q, k):
         return None
     return -1, p**k, q**k
 
@@ -793,13 +863,17 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
 
     A sign right after '^' belongs to the exponent: it is marked '~' (a
     character no accepted text contains) before the text is split into terms
-    on the other signs, each term into factors on '*', and each factor on
-    '^' and '/'.  Whitespace may surround every piece and is stripped; inside
-    a piece it fails the digit and name checks, so two tokens with only
-    whitespace between them are never accepted.  A sign after '^' and
-    whitespace, a negative power of 0, a power over MAX_POWER_BITS and every
-    syntax error give None, and the recursive descent decides them.  Each
-    distinct factor text is read once per call.
+    on the other signs.  Each term, stripped of whitespace, is read as an
+    optional leading number and a monomial text.  A monomial text the
+    context's table knows gives its exponent tuple with one lookup; any
+    other is split into factors on '*', and each factor on '^' and '/', and
+    when all its factors are variables the table learns its tuple.
+    Whitespace may surround every piece and is stripped; inside a piece it
+    fails the digit and name checks, so two tokens with only whitespace
+    between them are never accepted.  A sign after '^' and whitespace, a
+    negative power of 0, a power over MAX_POWER_BITS and every syntax error
+    give None, and the recursive descent decides them.  Each distinct
+    factor text is read once per call.
     """
     if "(" in text or ")" in text or "~" in text:
         return None
@@ -812,29 +886,49 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
             return None
         del pieces[0]
     names = ctx.names
+    known = ctx._factor_exps
     read: dict[str, tuple[int, int, int]] = {}
-    zero = [0] * len(names)
+    constant = (0,) * len(names)
     terms, dens = [], []
     for piece in pieces:
         negate = piece[:1] == "-"
-        if negate:
-            piece = piece[1:]
-        exps = zero[:]
+        piece = (piece[1:] if negate else piece).strip()
         num = den = 1
-        for factor in piece.split("*"):
-            value = read.get(factor)
+        if piece[:1].isdigit():  # a leading number, then '*' and a monomial or nothing
+            head, star, piece = piece.partition("*")
+            value = read.get(head)
             if value is None:
-                value = read[factor] = _flat_factor(factor, names)
+                value = read[head] = _flat_factor(head, names)
                 if value is None:
                     return None
-            i, a, b = value
-            if i < 0:
-                num *= a
-                den *= b
-            else:
-                exps[i] += a
+            _, num, den = value
+            if not star:
+                if num:
+                    terms.append((constant, -num if negate else num))
+                    dens.append(den)
+                continue
+        exps = known.get(piece)  # never "", which would accept an empty term
+        if exps is None:
+            vector = list(constant)
+            variables = True
+            for factor in piece.split("*"):
+                value = read.get(factor)
+                if value is None:
+                    value = read[factor] = _flat_factor(factor, names)
+                    if value is None:
+                        return None
+                i, a, b = value
+                if i < 0:
+                    num *= a
+                    den *= b
+                    variables = False
+                else:
+                    vector[i] += a
+            exps = tuple(vector)
+            if variables and len(known) < _FACTOR_TEXT_LIMIT:
+                known[piece] = exps
         if num:
-            terms.append((tuple(exps), -num if negate else num))
+            terms.append((exps, -num if negate else num))
             dens.append(den)
     common = lcm(*dens)
     if common != 1:
@@ -850,7 +944,16 @@ def parse(text: str, ctx: RingCtx) -> LaurentPoly:
     Text without parentheses is read by a fast path of string splits first;
     the recursive descent reads whatever that path does not fully accept,
     and all parenthesised text.  Both give the same polynomial, and only
-    the descent raises.
+    the descent raises.  The fast path reads each term as an optional
+    leading number and a monomial text, and looks that text up in the
+    context's table from factor text to exponent tuple.  The printer adds
+    the text of every monomial it writes, and the fast path the text of
+    every term it reads whose factors are all variables, until the table
+    holds _FACTOR_TEXT_LIMIT (4096) entries.  Either way an entry is the
+    tuple that reading its text factor by factor gives, since the printer
+    writes each factor as this reads it, so a lookup changes no result: a
+    printed polynomial reads back equal, `parse(str(p)) == p`, and with
+    the printed polynomial's own key tuples.
 
     Raises ParseError, with line and column, for a syntax error, a non-ASCII
     character, an unknown variable, parentheses nested more than

@@ -43,14 +43,17 @@ def build_slice(d: DiagonalDerivation) -> SliceData:
 
     Variables of weight zero get exponent zero and never enter f.  When
     g > 1 no monomial of weight one exists; the returned s has weight g and
-    the SliceData carries a warning instead of failing.
+    the SliceData carries a warning instead of failing.  Raises RuntimeError
+    when the Bezout coefficients m do not give <m, w> == g, since s is the
+    monomial x^m and D(s) == <m, w> * s.
     """
     if d.is_zero():
         raise ValueError("no nonzero weights")
     bez = bezout_multi(d.weights)
+    if d.term_weight(bez.coeffs) != bez.g:
+        raise RuntimeError("the Bezout coefficients do not combine the weights to their gcd")
     s = LaurentPoly.monomial(d.ctx, bez.coeffs)
     f = LaurentPoly.monomial(d.ctx, tuple(-m if m < 0 else 0 for m in bez.coeffs))
-    assert d.apply(s) == s * bez.g
     warning = None if bez.g == 1 else f"action factors through t -> t^{int_to_decimal(bez.g)}"
     return SliceData(g=bez.g, m=bez.coeffs, s=s, f=f, warning=warning)
 

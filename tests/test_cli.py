@@ -317,6 +317,29 @@ def test_internal_failure_exits_one(coprime, monkeypatch):
     assert "internal error" in err
 
 
+def test_wrong_bezout_coefficients_exit_one(coprime, monkeypatch):
+    import ssderiv.slices as slices_module
+    from ssderiv.numtheory import BezoutResult
+
+    def wrong(weights):
+        return BezoutResult(1, (0,) * len(weights))
+
+    monkeypatch.setattr(slices_module, "bezout_multi", wrong)
+    code, out, err = run_cli("slice", "--file", coprime)
+    assert code == 1 and out == ""
+    message = "the Bezout coefficients do not combine the weights to their gcd"
+    assert err == f"internal error: {message}\n"
+
+
+def test_unknown_finiteness_verdict_exits_one(hyperbolic, monkeypatch):
+    import ssderiv.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "local_finiteness_probe", lambda d, bound: "no verdict")
+    code, out, err = run_cli("check", "locfin", "4", "--file", hyperbolic)
+    assert code == 1 and out == ""
+    assert err == "internal error: unknown finiteness verdict 'no verdict'\n"
+
+
 def test_import_leaves_numpy_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

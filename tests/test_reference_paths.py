@@ -6,6 +6,7 @@ with string splits, exactly as it reads the same text in parentheses, which
 only its recursive descent reads."""
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from hypothesis import example, given
@@ -232,6 +233,13 @@ def test_str_is_the_same_with_a_cold_a_warm_and_a_full_table():
     assert str(p) == cold
     unseen = LaurentPoly(ctx, {(40, 1, 0): Fraction(-3, 7), (0, -40, 2): 1, (0, 0, 99): -1})
     assert str(unseen) == reference_str(unseen) == "-3/7*x^40*y - z^99 + y^-40*z^2"
+    # contexts share the power texts of a name, wherever the name stands
+    shuffled = RingCtx(("z", "x", "y"))
+    assert str(p.renamed(shuffled)) == reference_str(p.renamed(shuffled))
+    # 5000 distinct powers of y, more than a variable's power texts keep
+    powers = LaurentPoly(ctx, {(1, b, -1): b or 1 for b in range(-2500, 2500)})
+    assert str(powers) == reference_str(powers)
+    assert str(powers) == reference_str(powers)
 
 
 def test_printing_leaves_the_context_value_alone():
@@ -297,3 +305,91 @@ def test_flat_text_parses_as_in_parentheses(text):
     if isinstance(got, LaurentPoly):
         assert_canonical(got)
         assert parse(str(got), CTX_XYZ) == got
+
+
+# The two-way monomial table.  `parse` reads a monomial text that the ring
+# context's table knows with one lookup, and the table learns the text of
+# every monomial the printer writes and of every parsed term whose factors
+# are all variables.  Each text must read as the recursive descent reads it
+# in parentheses whatever the table holds: nothing (cold), the texts read
+# before (warm), or more than its bound of 4096 entries each way (full).
+# A read that takes a stored tuple returns that tuple object as the key, so
+# a text read back shares its keys with the polynomial printed, and with an
+# earlier read of the same monomials; that is how a test sees the lookup.
+BIG = "1" * 5000  # past the interpreter's int <-> str digit limit
+TABLE_TEXTS = [
+    # numbers before, among and after the variables, and zero coefficients
+    "2*3*x", "x*2", "0*x", "3*x*x", "x*x", "x*2*x", "2*x*3/4*y^-1", "0*x^-3 + x^-3",
+    "2^3*x^-1*z", "2^-1*x", "0/5*y + y", "3", "-3/4", "0", "1/2*x^2*y^-1 - x^2*y^-1",
+    # the printer's own texts, and the same terms with whitespace inside
+    "x^2*y^-1", " x^2*y^-1 ", "x ^ 2 * y ^ -1", "x^2 *\ty^-1", "x^2*y^-1\n+ z",
+    "-x^-1*z^+2 + 2/3*y*x - 7", "x*y*z - x^-3*y^-3*z^-3 + 5/2*z^2",
+    # texts the descent must decide, before and after the table knows x*y
+    "x*y", "x*y + q", "q*x*y", "x*y - - z", "x^ -1*y", "x^+-1*y", "x^~1*y", "0^-1*x*y",
+    # exponents past the digit limit
+    f"x^{BIG}*y^-{BIG} - 2*x^{BIG}", f"3*z^-{BIG}*x + z^-{BIG}*x",
+]
+
+
+@cache
+def filled(names=("x", "y", "z")):
+    """A context whose table holds more than 4096 entries each way: the
+    printer has written, and the parser read back, 9261 distinct monomials.
+    A full table stays as it is, so one such context serves every test."""
+    ctx = RingCtx(names)
+    cube = LaurentPoly(ctx, {(a, b, c): a - b + 2 * c or 1 for a in range(-10, 11)
+                             for b in range(-10, 11) for c in range(-10, 11)})
+    assert parse(str(cube), ctx) == cube
+    return ctx
+
+
+def unplaced(result):
+    """An outcome with the position of a ParseError left out, which the
+    parentheses around a text move."""
+    return (result[0], result[1].rsplit(" (line ", 1)[0]) if isinstance(result, tuple) else result
+
+
+def test_flat_texts_read_as_the_descent_with_the_table_cold_warm_and_full():
+    names = ("x", "y", "z")
+    warm, full = RingCtx(names), filled(names)
+    for ctx in (None, warm, warm, full, full):
+        for text in TABLE_TEXTS:
+            on = ctx or RingCtx(names)  # None: a cold context for each text
+            got = unplaced(outcome(parse, text, on))
+            assert got == unplaced(outcome(parse, f"({text})", on)), (text, ctx)
+            if isinstance(got, LaurentPoly):  # the printer's texts go into the table too
+                assert parse(str(got), on) == got
+
+
+def test_repeated_reads_of_a_monomial_share_its_key():
+    ctx = RingCtx(("x", "y", "z"))
+    first = parse("x*y^-1 - 2*z^3*y + 1/2*x^2*y^-2*z^-1 + 7", ctx)
+    again = parse("3*x*y^-1 + z^3*y - x^2*y^-2*z^-1", ctx)
+    keys = {e: e for e in first.support()}
+    assert [e for e in again.support() if keys[e] is not e] == []
+
+
+@given(
+    st.sampled_from(CONTEXTS).flatmap(lambda ctx: polys(ctx, max_terms=12))
+    | st.sampled_from((CTX_XY, CTX_XYZ)).flatmap(
+        lambda ctx: polys(ctx, min_terms=20, max_terms=40, exp_bound=3)
+    ),
+    st.sampled_from(["", " ", "\t", "  \n"]),
+)
+@example(LaurentPoly(CTX_XY, {(10**5000, -(10**4300)): -1, (0, 1): 2, (0, 0): 3}), "")
+@example(parse("(x - y^-1 + 2*z^-3 - 1/2)^4 + 5/3*x^-11*y^12", CTX_XYZ), " ")
+def test_printed_text_reads_back_through_the_table(p, gap):
+    names = p.ctx.names
+    cold = RingCtx(names)
+    for ctx in (cold, p.ctx, filled(names) if len(names) == 3 else cold):
+        q = p.renamed(ctx)  # the same key tuples, over ctx
+        text = str(q)
+        back = parse(text, ctx)
+        assert back == q == parse(f"({text})", ctx)
+        if ctx is cold:  # the printer stored each key it printed, and the read took it
+            keys = {e: e for e in q.support()}
+            assert [e for e in back.support() if any(e) and keys[e] is not e] == []
+        assert parse(text, RingCtx(names)) == q  # a fresh equal context, with a cold table
+        spaced = text.replace("*", f"{gap}*{gap}").replace("^", f"{gap}^")
+        assert parse(spaced, ctx) == q == parse(f"({spaced})", ctx)
+        assert parse(spaced, ctx) == q  # again, now through the entries that read stored

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ssderiv import slices
 from ssderiv import (
     DiagonalDerivation,
     LaurentPoly,
@@ -11,6 +12,7 @@ from ssderiv import (
     parse,
     verify_slice,
 )
+from ssderiv.numtheory import BezoutResult
 
 from helpers import CTX_XY, random_weights
 
@@ -57,6 +59,12 @@ class TestBuildSlice:
     def test_zero_derivation_rejected(self):
         with pytest.raises(ValueError, match="no nonzero weights"):
             build_slice(d((0, 0)))
+
+    def test_wrong_bezout_coefficients_raise(self, monkeypatch):
+        # (1, 1) combines the weights (2, -3) to -1, not to their gcd 1
+        monkeypatch.setattr(slices, "bezout_multi", lambda weights: BezoutResult(1, (1, 1)))
+        with pytest.raises(RuntimeError, match="do not combine the weights to their gcd"):
+            build_slice(d((2, -3)))
 
     def test_denominator_covers_negative_exponents(self):
         rng = random.Random(31)

@@ -8,9 +8,11 @@ which no arithmetic but a division may leave the integers.
 
 Only `laurent.py` may build a polynomial through the trusted constructor,
 touch the term-merge helpers, read the stored numerators, denominator and
-cached coefficient view, or reach the printer's per-context table; every
-other module goes through the public operations, `terms`, `coefficient`
-and `support`, which a static check of the package sources enforces."""
+cached coefficient view, or reach the per-context monomial and power-text
+tables; every other module goes through the public operations, `terms`,
+`coefficient` and `support`, which a static check of the package sources
+enforces.  Another static check keeps `assert` statements, which `python -O`
+skips, out of the package."""
 
 import ast
 from functools import reduce
@@ -129,10 +131,12 @@ def test_derivation_results_are_canonical(p, weights, a, b, c):
 def test_only_laurent_touches_the_term_format():
     """No module but laurent.py imports a private name from `.laurent` or
     names `_trusted`, `_accumulate`, `_widen`, `_lowest`, the stored `_num`,
-    `_den` and `_view`, or a context's `_factor_text` table; no test does
+    `_den` and `_view`, either way of a context's monomial table,
+    `_factor_text` and `_factor_exps`, or its `_power_text`; no test does
     either."""
     private = {
-        "_trusted", "_accumulate", "_widen", "_lowest", "_num", "_den", "_view", "_factor_text"
+        "_trusted", "_accumulate", "_widen", "_lowest", "_num", "_den", "_view",
+        "_factor_text", "_factor_exps", "_power_text",
     }
     package = Path(ssderiv.__file__).parent
     sources = sorted(package.glob("*.py"))
@@ -152,3 +156,17 @@ def test_only_laurent_touches_the_term_format():
                 continue
             offences += [(path.name, node.lineno, name) for name in names]
     assert offences == []
+
+
+def test_the_package_checks_with_raise_not_assert():
+    """`python -O` drops `assert` statements, so a check of an invariant in
+    the package is an `if` that raises; no module under ssderiv/ has one."""
+    sources = sorted(Path(ssderiv.__file__).parent.rglob("*.py"))
+    assert len(sources) > 1
+    found = [
+        (path.name, node.lineno)
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
