@@ -349,7 +349,11 @@ def _dispatch(args: argparse.Namespace) -> Report:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse before 3.13 reads "--opt=--" as []
+            parser.error(f"argument --{name}: expected one argument")
     try:
         report = _dispatch(args)
     except (InputError, ParseError, ValueError) as exc:

@@ -5,21 +5,23 @@ coefficients, so negative exponents (localized monomials) are first-class.
 The canonical term order is descending lexicographic on the exponent vector in
 declared variable order; `parse(str(p)) == p` for every polynomial p.
 
-`parse` has two paths with one error source.  Text without parentheses, which
-includes everything the printer writes, is first read by a fast path of
-string splits; on any text it does not fully accept, that path gives up
-without raising, and the recursive descent reads the text instead.  The
-descent is the only path for parenthesised text and the only source of
-ParseError.
+`parse` has two paths with one error source.  Text in the printer's form
+is first read by a fast path of string splits; on any other text that path
+gives up without raising, and the recursive descent reads the text instead.
+The descent is the only source of ParseError and the only reader of a power
+of a number, so it alone applies MAX_POWER_BITS.
 
 Each ring context keeps a two-way monomial table, each way bounded at
 _FACTOR_TEXT_LIMIT entries: exponent vector to factor text, which only the
 printer fills, so a monomial printed before costs one lookup; and factor text
 to exponent vector, which the printer fills with every text it builds and the
-fast path with every term it reads whose factors are all variables, so a
-monomial printed or read before is read again with one lookup.  The printer
-builds a new factor text from power texts ("y^-1") that every context with
-the same variable name shares.
+fast path with every monomial it reads, so a monomial printed or read before
+is read again with one lookup.  The printer builds a new factor text from
+power texts ("y^-1") that every context with the same variable name shares.
+
+`+` is a two-term `LaurentPoly.sum`.  `substitute` and the descent add each
+term they build, a rational times a monomial times a product of powers, to
+their running sum through one step, `_merge_term`.
 """
 
 from __future__ import annotations
@@ -55,13 +57,14 @@ class RingCtx:
     from exponent tuple to factor text ("x^2*y^-1"), and `_factor_exps`, from
     factor text in the fast parser's form ("x^2*y^~1") back to the exponent
     tuple.  The printer fills both ways (see `LaurentPoly.__str__`) and the
-    parser the second (see `parse`); each way stops growing at
-    _FACTOR_TEXT_LIMIT entries.  Every entry of `_factor_exps` is the tuple
-    that the parser's factor loop computes for its text, so a lookup and a
-    fresh read agree, and `parse(str(p)) == p` holds with the table cold,
-    warm or full.  The printer builds a factor text it has no entry for
-    from `_power_text`, one table per variable from exponent to power text
-    ("y^-1"), which contexts share by variable name (see `_power_texts`).
+    parser's fast path the second, with every monomial it reads (see
+    `parse`); each way stops growing at _FACTOR_TEXT_LIMIT entries.  Every
+    entry of `_factor_exps` is the tuple that the fast path's factor loop
+    computes for its text, so a lookup and a fresh read agree, and
+    `parse(str(p)) == p` holds with the table cold, warm or full.  The
+    printer builds a factor text it has no entry for from `_power_text`,
+    one table per variable from exponent to power text ("y^-1"), which
+    contexts share by variable name (see `_power_texts`).
     The tables are not dataclass fields, so equality, hash, repr and
     `dataclasses.replace` never see them; two equal contexts each have
     their own monomial table.
@@ -122,8 +125,9 @@ def _accumulate(acc: dict, terms, scale: int = 1) -> None:
     `acc` must be a dict the caller owns, never the numerators of a
     polynomial, and it and `terms` must be over the same denominator;
     `scale` must be a nonzero `int`.  This is the package's one term-merge
-    loop: `+`, `*`, `substitute`, the parser and `LaurentPoly.sum` run
-    through it.  Code outside this module reaches it only through
+    loop: `LaurentPoly.sum` (and so `+`), `*`, `_merge_term` (and so
+    `substitute` and the descent) and the parser's fast path run through
+    it.  Code outside this module reaches it only through
     `LaurentPoly.sum` and the ring operations; the finiteness probe's
     Gaussian reduction, for one, eliminates with `+`.
     """
@@ -166,6 +170,31 @@ def _rational(num: int, den: int) -> Fraction | int:
     return num // den if num % den == 0 else Fraction(num, den)
 
 
+def _merge_term(
+    total: dict, common: int, num: int, den: int, key: tuple, product: LaurentPoly | None
+) -> int:
+    """Add num/den * x^key * product into the numerators `total` over
+    `common`, in place, and return their new denominator.
+
+    `num` and `den` are nonzero `int`s, `den` of either sign; `key` is an
+    exponent tuple and `product` a `LaurentPoly` over the same context, or
+    None for 1."""
+    if product is not None:
+        den *= product._den
+    if den != common:
+        if den < 0:
+            num, den = -num, -den
+        common, scale = _widen(total, common, den)
+        num *= scale
+    if product is None:
+        _accumulate(total, ((key, num),))
+    elif any(key):
+        _accumulate(total, ((tuple(map(add, a, key)), c) for a, c in product._num.items()), num)
+    else:
+        _accumulate(total, product._num.items(), num)
+    return common
+
+
 # The most entries each way of a ring context's monomial table takes; a full
 # table stops growing, and the printer builds, and the parser reads, the text
 # of any other monomial each time.  The largest context of the `algebra`
@@ -188,11 +217,7 @@ class _PowerTexts(dict):
     __slots__ = ()
 
     def __missing__(self, e: int) -> str:
-        name = self[1]
-        try:
-            text = f"{name}^{e}"
-        except ValueError:  # an exponent past the interpreter's digit limit
-            text = f"{name}^{int_to_decimal(e)}"
+        text = f"{self[1]}^{int_to_decimal(e)}"
         if len(self) < _POWER_TEXT_LIMIT:
             self[e] = text
         return text
@@ -360,20 +385,12 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # ring operations
 
-    def _require_same_ctx(self, other: "LaurentPoly") -> None:
-        if self.ctx != other.ctx:
-            raise ValueError("context mismatch")
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """The two-term `LaurentPoly.sum` of self and other, which merges
+        other's terms into a copy of self's; both must share one context."""
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._require_same_ctx(other)
-        terms = dict(self._num)
-        den, scale = self._den, 1
-        if other._den != den:
-            den, scale = _widen(terms, den, other._den)
-        _accumulate(terms, other._num.items(), scale)
-        return LaurentPoly._trusted(self.ctx, terms, den)
+        return LaurentPoly.sum(self.ctx, (self, other))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._trusted(self.ctx, {e: -c for e, c in self._num.items()}, self._den)
@@ -385,7 +402,8 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            self._require_same_ctx(other)
+            if self.ctx != other.ctx:
+                raise ValueError("context mismatch")
             terms: dict[tuple[int, ...], int] = {}
             rhs = other._num.items()
             for e1, c1 in self._num.items():
@@ -555,22 +573,7 @@ class LaurentPoly:
                 if power is None:
                     power = cache[e] = images[i] ** e
                 product = power if product is None else product * power
-            if product is not None:
-                den *= product._den
-            if den != common:
-                if den < 0:
-                    num, den = -num, -den
-                common, scale = _widen(total, common, den)
-                num *= scale
-            key = tuple(shift)
-            if product is None:
-                _accumulate(total, ((key, num),))
-            elif any(shift):
-                _accumulate(
-                    total, ((tuple(map(add, a, key)), c) for a, c in product._num.items()), num
-                )
-            else:
-                _accumulate(total, product._num.items(), num)
+            common = _merge_term(total, common, num, den, tuple(shift), product)
         return LaurentPoly._trusted(target, total, common * self._den)
 
     # ------------------------------------------------------------------
@@ -668,12 +671,6 @@ MAX_NESTING = 200
 # ask for an integer of ~10^29 digits.
 MAX_POWER_BITS = 1 << 22
 
-
-def _power_too_big(p: int, q: int, k: int) -> bool:
-    """Whether (p/q)^k, for p >= 0, q >= 1 and k >= 0, is over MAX_POWER_BITS."""
-    return (p > 1 or q > 1) and k * max(p, q).bit_length() > MAX_POWER_BITS
-
-
 _TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
 _BAD_CHAR_RE = re.compile(r"[^0-9A-Za-z_+\-*/^()\s]")
 
@@ -705,6 +702,12 @@ class _Parser:
     def fail(self, message: str, at: int) -> None:
         match = next(islice(_TOKEN_RE.finditer(self.text), at, None), None)
         _fail(message, self.text, len(self.text) if match is None else match.start())
+
+    @staticmethod
+    def _power_too_big(p: int, q: int, k: int) -> bool:
+        """Whether (p/q)^k, for p >= 0, q >= 1 and k >= 0, is over
+        MAX_POWER_BITS.  Only the descent reads a power of a number."""
+        return (p > 1 or q > 1) and k * max(p, q).bit_length() > MAX_POWER_BITS
 
     def run(self) -> LaurentPoly:
         poly = self.expr()
@@ -754,7 +757,7 @@ class _Parser:
                         if not p:
                             raise ValueError("not a unit")
                         p, q, k = q, p, -k
-                    if _power_too_big(p, q, k):
+                    if self._power_too_big(p, q, k):
                         self.fail(f"power of a number over {MAX_POWER_BITS} bits", self.pos - 1)
                     p, q = p**k, q**k
                 num *= p
@@ -772,7 +775,7 @@ class _Parser:
                     k = self.exponent()
                     if factor.is_monomial():
                         (top,) = factor._num.values()
-                        if _power_too_big(abs(top), factor._den, abs(k)):
+                        if self._power_too_big(abs(top), factor._den, abs(k)):
                             self.fail(f"power of a number over {MAX_POWER_BITS} bits", self.pos - 1)
                     factor = factor**k
                 poly = factor if poly is None else poly * factor
@@ -788,17 +791,7 @@ class _Parser:
             return common
         if negate:
             num = -num
-        if poly is not None:
-            den *= poly._den
-        if den != common:
-            common, scale = _widen(total, common, den)
-            num *= scale
-        key = tuple(exps)
-        if poly is None:
-            _accumulate(total, ((key, num),))
-        else:
-            _accumulate(total, ((tuple(map(add, e, key)), c) for e, c in poly._num.items()), num)
-        return common
+        return _merge_term(total, common, num, den, tuple(exps), poly)
 
     def exponent(self) -> int:
         """Consume '^' and a signed integer."""
@@ -814,22 +807,31 @@ class _Parser:
 
 
 def _ascii_int(text: str) -> int | None:
-    """The value of `text`, stripped of whitespace, when that is ASCII
-    digits (any number of them), else None."""
+    """The value of `text` when it is ASCII digits (any number of them),
+    else None."""
     if not (text.isdigit() and text.isascii()):
-        text = text.strip()
-        if not (text.isdigit() and text.isascii()):
-            return None
+        return None
     return decimal_to_int(text)
 
 
-def _flat_factor(factor: str, names: tuple[str, ...]) -> tuple[int, int, int] | None:
-    """One factor of a flat term: (i, k, 1) for names[i]^k, (-1, p, q) for
-    the rational p/q (a power of one included), or None where `factor` is
-    not plainly well formed, is a negative power of 0 or is a power over
-    MAX_POWER_BITS.  A '~' right after the '^' stands for the exponent's
-    '-'."""
-    base, caret, power = factor.partition("^")
+def _flat_coefficient(text: str) -> tuple[int, int] | None:
+    """(p, q) for a coefficient text `p` or `p/q` of ASCII digits with
+    q > 0, or None for any other text."""
+    p, slash, q = text.partition("/")
+    p = _ascii_int(p)
+    q = _ascii_int(q) if slash else 1
+    if p is None or not q:  # q is None or 0
+        return None
+    return p, q
+
+
+def _flat_power(text: str, names: tuple[str, ...]) -> tuple[int, int] | None:
+    """(i, k) for a factor text `name` or `name^k` of the variable names[i],
+    where a '~' in front of the ASCII digits of k stands for its '-', or
+    None for any other text."""
+    name, caret, power = text.partition("^")
+    if name not in names:
+        return None
     k = 1
     if caret:
         negative = power[:1] == "~"
@@ -838,48 +840,33 @@ def _flat_factor(factor: str, names: tuple[str, ...]) -> tuple[int, int, int] | 
             return None
         if negative:
             k = -k
-    base = base.strip()
-    if base in names:
-        return names.index(base), k, 1
-    p, slash, q = base.partition("/")
-    p = _ascii_int(p)
-    q = _ascii_int(q) if slash else 1
-    if p is None or not q:  # q is None or 0
-        return None
-    if not caret:
-        return -1, p, q
-    if k < 0:
-        if not p:
-            return None  # not a unit
-        p, q, k = q, p, -k
-    if _power_too_big(p, q, k):
-        return None
-    return -1, p**k, q**k
+    return names.index(name), k
 
 
 def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
-    """The polynomial of a parenthesis-free `text`, read with string splits,
-    or None wherever the text is not plainly well formed.  Never raises.
+    """The polynomial of `text` in the printer's form, read with string
+    splits, or None for any other text.  Never raises.
 
-    A sign right after '^' belongs to the exponent: it is marked '~' (a
+    The printer's form is an optional leading '-' and terms joined by '+'
+    and '-'.  A term is a coefficient `p` or `p/q`, or an optional
+    coefficient and '*' followed by '*'-joined factors `name` or `name^k`,
+    where p, q and k are ASCII digits and k may have a '-'.  Whitespace may
+    stand around the signs and at the ends, and nowhere else.  Any other
+    text, whatever it means to the descent (a power of a number, a number
+    after a variable, a '^+', whitespace inside a term), gives None, and
+    the recursive descent reads it and decides it.
+
+    A '-' right after '^' belongs to the exponent: it is marked '~' (a
     character no accepted text contains) before the text is split into terms
-    on the other signs.  Each term, stripped of whitespace, is read as an
-    optional leading number and a monomial text.  A monomial text the
-    context's table knows gives its exponent tuple with one lookup; any
-    other is split into factors on '*', and each factor on '^' and '/', and
-    when all its factors are variables the table learns its tuple.
-    Whitespace may surround every piece and is stripped; inside a piece it
-    fails the digit and name checks, so two tokens with only whitespace
-    between them are never accepted.  A sign after '^' and whitespace, a
-    negative power of 0, a power over MAX_POWER_BITS and every syntax error
-    give None, and the recursive descent decides them.  Each distinct
-    factor text is read once per call.
+    on the other signs.  A monomial text the context's table knows gives its
+    exponent tuple with one lookup; any other is split into factors on '*',
+    and the table learns its tuple.  Each distinct coefficient text and each
+    distinct factor text is read once per call, each kind in its own memo,
+    since "2" is a coefficient in "2*x" and no factor at all in "x*2".
     """
     if "(" in text or ")" in text or "~" in text:
         return None
-    if "^" in text:
-        text = text.replace("^-", "^~").replace("^+", "^")
-    pieces = text.replace("-", "+-").split("+")
+    pieces = text.replace("^-", "^~").replace("-", "+-").split("+")
     if not pieces[0] or pieces[0].isspace():
         # a sign starts the text: it must be a single '-'
         if len(pieces) == 1 or pieces[1][:1] != "-":
@@ -887,21 +874,22 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
         del pieces[0]
     names = ctx.names
     known = ctx._factor_exps
-    read: dict[str, tuple[int, int, int]] = {}
+    coefficients: dict[str, tuple[int, int]] = {}
+    powers: dict[str, tuple[int, int]] = {}
     constant = (0,) * len(names)
     terms, dens = [], []
     for piece in pieces:
         negate = piece[:1] == "-"
         piece = (piece[1:] if negate else piece).strip()
         num = den = 1
-        if piece[:1].isdigit():  # a leading number, then '*' and a monomial or nothing
+        if piece[:1].isdigit():  # a coefficient, then '*' and a monomial or nothing
             head, star, piece = piece.partition("*")
-            value = read.get(head)
+            value = coefficients.get(head)
             if value is None:
-                value = read[head] = _flat_factor(head, names)
+                value = coefficients[head] = _flat_coefficient(head)
                 if value is None:
                     return None
-            _, num, den = value
+            num, den = value
             if not star:
                 if num:
                     terms.append((constant, -num if negate else num))
@@ -910,22 +898,16 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
         exps = known.get(piece)  # never "", which would accept an empty term
         if exps is None:
             vector = list(constant)
-            variables = True
             for factor in piece.split("*"):
-                value = read.get(factor)
+                value = powers.get(factor)
                 if value is None:
-                    value = read[factor] = _flat_factor(factor, names)
+                    value = powers[factor] = _flat_power(factor, names)
                     if value is None:
                         return None
-                i, a, b = value
-                if i < 0:
-                    num *= a
-                    den *= b
-                    variables = False
-                else:
-                    vector[i] += a
+                i, k = value
+                vector[i] += k
             exps = tuple(vector)
-            if variables and len(known) < _FACTOR_TEXT_LIMIT:
+            if len(known) < _FACTOR_TEXT_LIMIT:
                 known[piece] = exps
         if num:
             terms.append((exps, -num if negate else num))
@@ -941,19 +923,18 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
 def parse(text: str, ctx: RingCtx) -> LaurentPoly:
     """Parse an ASCII expression, e.g. "3*x^2*y^-1 - 1/2", over ctx.
 
-    Text without parentheses is read by a fast path of string splits first;
-    the recursive descent reads whatever that path does not fully accept,
-    and all parenthesised text.  Both give the same polynomial, and only
-    the descent raises.  The fast path reads each term as an optional
-    leading number and a monomial text, and looks that text up in the
-    context's table from factor text to exponent tuple.  The printer adds
-    the text of every monomial it writes, and the fast path the text of
-    every term it reads whose factors are all variables, until the table
-    holds _FACTOR_TEXT_LIMIT (4096) entries.  Either way an entry is the
-    tuple that reading its text factor by factor gives, since the printer
-    writes each factor as this reads it, so a lookup changes no result: a
-    printed polynomial reads back equal, `parse(str(p)) == p`, and with
-    the printed polynomial's own key tuples.
+    Text in the printer's form (see `_parse_flat`) is read by a fast path
+    of string splits first; the recursive descent reads all other text.
+    Both give the same polynomial, and only the descent raises.  The fast
+    path reads each term as an optional coefficient and a monomial text,
+    and looks that text up in the context's table from factor text to
+    exponent tuple.  The printer adds the text of every monomial it
+    writes, and the fast path the text of every monomial it reads, until
+    the table holds _FACTOR_TEXT_LIMIT (4096) entries.  Either way an entry
+    is the tuple that reading its text factor by factor gives, since the
+    printer writes each factor as the fast path reads it, so a lookup
+    changes no result: a printed polynomial reads back equal,
+    `parse(str(p)) == p`, and with the printed polynomial's own key tuples.
 
     Raises ParseError, with line and column, for a syntax error, a non-ASCII
     character, an unknown variable, parentheses nested more than

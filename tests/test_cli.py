@@ -340,6 +340,29 @@ def test_unknown_finiteness_verdict_exits_one(hyperbolic, monkeypatch):
     assert err == "internal error: unknown finiteness verdict 'no verdict'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--file", None, "--expr=--"),
+        ("kernel", "--file", None, "--brute=--"),
+        ("kernel", "--file", None, "--localized", "--uvars=--"),
+        ("slice", "--file=--"),
+    ],
+    ids=["expr", "brute", "uvars", "file"],
+)
+def test_dashes_as_an_option_value_exit_two(coprime, argv):
+    """argparse before Python 3.13 stores the value "--" as an empty list;
+    the CLI refuses it as a usage error, never an internal one."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main([coprime if arg is None else arg for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2
+    assert "internal error" not in err.getvalue()
+
+
 def test_import_leaves_numpy_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -299,6 +299,9 @@ def flat_texts(draw):
 @example("7*x^3*y^-2 - 0/5 + x*x^-1*z")
 @example("0^-1*x + y")
 @example(" -  x")
+@example("2*x + x*2")
+@example("3/4*y - y*3/4")
+@example("2*x - x^2*2")
 def test_flat_text_parses_as_in_parentheses(text):
     got = outcome(parse, text, CTX_XYZ)
     assert got == outcome(parse, f"({text})", CTX_XYZ)
@@ -321,6 +324,8 @@ TABLE_TEXTS = [
     # numbers before, among and after the variables, and zero coefficients
     "2*3*x", "x*2", "0*x", "3*x*x", "x*x", "x*2*x", "2*x*3/4*y^-1", "0*x^-3 + x^-3",
     "2^3*x^-1*z", "2^-1*x", "0/5*y + y", "3", "-3/4", "0", "1/2*x^2*y^-1 - x^2*y^-1",
+    # a coefficient text read first, then the same text after a variable
+    "2*x + x*2", "3/4*y - y*3/4", "2*x - x^2*2",
     # the printer's own texts, and the same terms with whitespace inside
     "x^2*y^-1", " x^2*y^-1 ", "x ^ 2 * y ^ -1", "x^2 *\ty^-1", "x^2*y^-1\n+ z",
     "-x^-1*z^+2 + 2/3*y*x - 7", "x*y*z - x^-3*y^-3*z^-3 + 5/2*z^2",

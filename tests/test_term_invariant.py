@@ -12,7 +12,9 @@ cached coefficient view, or reach the per-context monomial and power-text
 tables; every other module goes through the public operations, `terms`,
 `coefficient` and `support`, which a static check of the package sources
 enforces.  Another static check keeps `assert` statements, which `python -O`
-skips, out of the package."""
+skips, out of the package, and a third keeps the bound on a power of a
+number inside the parser's recursive descent, the one path that reads such
+a power."""
 
 import ast
 from functools import reduce
@@ -130,12 +132,12 @@ def test_derivation_results_are_canonical(p, weights, a, b, c):
 
 def test_only_laurent_touches_the_term_format():
     """No module but laurent.py imports a private name from `.laurent` or
-    names `_trusted`, `_accumulate`, `_widen`, `_lowest`, the stored `_num`,
-    `_den` and `_view`, either way of a context's monomial table,
-    `_factor_text` and `_factor_exps`, or its `_power_text`; no test does
-    either."""
+    names `_trusted`, `_accumulate`, `_widen`, `_lowest`, `_merge_term`, the
+    stored `_num`, `_den` and `_view`, either way of a context's monomial
+    table, `_factor_text` and `_factor_exps`, or its `_power_text`; no test
+    does either."""
     private = {
-        "_trusted", "_accumulate", "_widen", "_lowest", "_num", "_den", "_view",
+        "_trusted", "_accumulate", "_widen", "_lowest", "_merge_term", "_num", "_den", "_view",
         "_factor_text", "_factor_exps", "_power_text",
     }
     package = Path(ssderiv.__file__).parent
@@ -156,6 +158,40 @@ def test_only_laurent_touches_the_term_format():
                 continue
             offences += [(path.name, node.lineno, name) for name in names]
     assert offences == []
+
+
+def test_only_the_descent_bounds_a_power_of_a_number():
+    """Only the recursive descent reads a power of a number, so the bound
+    on one, `MAX_POWER_BITS` and `_power_too_big`, is named in laurent.py
+    inside `class _Parser` and nowhere else but the constant's definition."""
+    tree = ast.parse((Path(ssderiv.__file__).parent / "laurent.py").read_text())
+    bound = {"MAX_POWER_BITS", "_power_too_big"}
+
+    def uses(node):
+        if isinstance(node, ast.Name):
+            return [node.id] if node.id in bound else []
+        if isinstance(node, ast.Attribute):
+            return [node.attr] if node.attr in bound else []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name] if node.name in bound else []
+        return []
+
+    (parser,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Parser"]
+    inside = {name for node in ast.walk(parser) for name in uses(node)}
+    assert inside == bound
+    definition = [
+        n for n in tree.body
+        if isinstance(n, ast.Assign) and [ast.unparse(t) for t in n.targets] == ["MAX_POWER_BITS"]
+    ]
+    assert len(definition) == 1
+    outside = [
+        (node.lineno, name)
+        for top in tree.body
+        if top is not parser and top is not definition[0]
+        for node in ast.walk(top)
+        for name in uses(node)
+    ]
+    assert outside == []
 
 
 def test_the_package_checks_with_raise_not_assert():
