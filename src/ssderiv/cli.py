@@ -18,10 +18,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .derivation import (
     DiagonalDerivation,
@@ -49,8 +47,7 @@ class InputError(ValueError):
     """Invalid problem file or command usage; maps to exit code 2."""
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     ctx: RingCtx
     weights: tuple[int, ...]
     images: tuple[LaurentPoly, ...] | None = None
@@ -69,13 +66,13 @@ class Problem:
         return GeneralDerivation(self.ctx, self.images)
 
 
-@dataclass
 class Report:
     """Deterministic command output: echo line, result lines, warnings."""
 
-    command: str
-    lines: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, command: str, lines: list[str] | None = None):
+        self.command = command
+        self.lines = [] if lines is None else lines
+        self.warnings: list[str] = []
 
     def render(self) -> str:
         parts = [f"command: {self.command}"]
@@ -84,9 +81,12 @@ class Report:
         return "\n".join(parts) + "\n"
 
 
-def load_problem(path: str | Path) -> Problem:
+def load_problem(path: str) -> Problem:
+    if not path:
+        raise InputError("--file: the problem file path is empty")
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read problem file: {exc}") from None
 

@@ -9,16 +9,14 @@ conjugates and scalar multiples live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index, mul
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
-from .laurent import LaurentPoly, RingCtx
+from .laurent import Frozen, LaurentPoly, RingCtx
 
 
-@dataclass
-class WeightDecomposition:
+class WeightDecomposition(NamedTuple):
     """Grouping of a polynomial into weight-homogeneous components.
 
     `components` maps each occurring weight w to the (nonzero) part of the
@@ -36,18 +34,18 @@ class WeightDecomposition:
         return LaurentPoly.sum(ctx, self.components.values())
 
 
-@dataclass(frozen=True)
-class DiagonalDerivation:
+class DiagonalDerivation(Frozen):
     """D(x_i) = weights[i] * x_i on the Laurent ring over ctx."""
 
-    ctx: RingCtx
-    weights: tuple[int, ...]
+    __slots__ = ("ctx", "weights")
+    __match_args__ = ("ctx", "weights")
 
-    def __post_init__(self):
-        weights = tuple(map(index, self.weights))
+    def __init__(self, ctx: RingCtx, weights: Sequence[int]):
+        weights = tuple(map(index, weights))
+        if len(weights) != ctx.n:
+            raise ValueError(f"expected {ctx.n} weights, got {len(weights)}")
+        object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "weights", weights)
-        if len(weights) != self.ctx.n:
-            raise ValueError(f"expected {self.ctx.n} weights, got {len(weights)}")
 
     def is_zero(self) -> bool:
         return not any(self.weights)
@@ -107,21 +105,21 @@ class DiagonalDerivation:
         return GeneralDerivation(self.ctx, images)
 
 
-@dataclass(frozen=True)
-class GeneralDerivation:
+class GeneralDerivation(Frozen):
     """Derivation determined by images[i] = D(x_i), extended by Leibniz."""
 
-    ctx: RingCtx
-    images: tuple[LaurentPoly, ...]
+    __slots__ = ("ctx", "images")
+    __match_args__ = ("ctx", "images")
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if len(images) != self.ctx.n:
-            raise ValueError(f"expected {self.ctx.n} images, got {len(images)}")
+    def __init__(self, ctx: RingCtx, images: Sequence[LaurentPoly]):
+        images = tuple(images)
+        if len(images) != ctx.n:
+            raise ValueError(f"expected {ctx.n} images, got {len(images)}")
         for image in images:
-            if image.ctx != self.ctx:
+            if image.ctx != ctx:
                 raise ValueError("context mismatch")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "images", images)
 
     def apply(self, p: LaurentPoly) -> LaurentPoly:
         """sum_i images[i] * dp/dx_i, valid for all integer exponents."""
@@ -191,8 +189,7 @@ def scalar_multiple_semisimple(a: LaurentPoly, d: DiagonalDerivation) -> bool:
 # local finiteness probe
 
 
-@dataclass(frozen=True)
-class LocallyFinite:
+class LocallyFinite(NamedTuple):
     """Certificate: per generator, a D-stable spanning set for its iterates.
 
     Every iterate in a span grew the row space by one, so each span is a
@@ -205,8 +202,7 @@ class LocallyFinite:
         return tuple(map(len, self.spans))
 
 
-@dataclass(frozen=True)
-class NotLocallyFinite:
+class NotLocallyFinite(NamedTuple):
     """Certificate: a monomial iterate chain with a constant exponent shift
     of positive total degree whose coefficient recurrence never vanishes."""
 
@@ -215,8 +211,7 @@ class NotLocallyFinite:
     shift: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     bound: int
 
 

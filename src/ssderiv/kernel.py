@@ -11,19 +11,17 @@ brute-force enumeration of that monoid serves as an independent oracle.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import index, itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .derivation import DiagonalDerivation
 from .laurent import LaurentPoly, RingCtx
 
 
-@dataclass(frozen=True)
-class KernelGenerators:
+class KernelGenerators(NamedTuple):
     """Generators u_i = x_i * s^(-w_i) of the kernel in the localization at s.
 
     Each u_i is annihilated by the derivation and x_i = u_i * s^(w_i)
@@ -35,8 +33,7 @@ class KernelGenerators:
     uctx: RingCtx
 
 
-@dataclass
-class SliceCoordinates:
+class SliceCoordinates(NamedTuple):
     """Rewriting of a polynomial as sum over w of c_w(u) * s^w.
 
     components maps each occurring weight w to a polynomial in the formal
@@ -48,8 +45,7 @@ class SliceCoordinates:
     components: dict[int, LaurentPoly]
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(NamedTuple):
     """Minimal generating set of the weight-zero exponent monoid."""
 
     gens: tuple[tuple[int, ...], ...]

@@ -27,7 +27,6 @@ their running sum through one step, `_merge_term`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -49,8 +48,45 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class RingCtx:
+class Frozen:
+    """Base of the immutable value classes: RingCtx and the derivations.
+
+    A subclass names its fields in `__match_args__`, lists them and any
+    private attributes in `__slots__`, and sets each once in `__init__`
+    through `object.__setattr__`.  `==`, `hash`, `repr` and pickling read
+    the fields only; assigning or deleting an attribute raises AttributeError.
+    Pickling and `copy.deepcopy` rebuild a value through its constructor.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RingCtx(Frozen):
     """Ordered variable context of a Laurent polynomial ring over Q.
 
     Each instance also carries a two-way monomial table: `_factor_text`,
@@ -65,18 +101,16 @@ class RingCtx:
     printer builds a factor text it has no entry for from `_power_text`,
     one table per variable from exponent to power text ("y^-1"), which
     contexts share by variable name (see `_power_texts`).
-    The tables are not dataclass fields, so equality, hash, repr and
-    `dataclasses.replace` never see them; two equal contexts each have
-    their own monomial table.
+    The only field is `names`: equality, hash, repr and pickling never see
+    the tables, so two equal contexts, or a context and its unpickled copy,
+    each have their own monomial table.
     """
 
-    names: tuple[str, ...]
+    __slots__ = ("names", "_factor_text", "_factor_exps", "_power_text")
+    __match_args__ = ("names",)
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_factor_text", {})
-        object.__setattr__(self, "_factor_exps", {})
+    def __init__(self, names: Sequence[str]):
+        names = tuple(names)
         if not names:
             raise ValueError("a ring context needs at least one variable")
         for name in names:
@@ -84,7 +118,20 @@ class RingCtx:
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be pairwise distinct")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_factor_text", {})
+        object.__setattr__(self, "_factor_exps", {})
         object.__setattr__(self, "_power_text", tuple(map(_power_texts, names)))
+
+    # every ring operation compares its operands' contexts, so these two
+    # skip the generic field walk
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.names == other.names
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
 
     @property
     def n(self) -> int:

@@ -3,13 +3,11 @@ conversions with no digit limit."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class BezoutResult:
+class BezoutResult(NamedTuple):
     """gcd g > 0 of a weight vector plus integer coefficients with sum(m*w) == g."""
 
     g: int

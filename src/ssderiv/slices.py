@@ -6,15 +6,14 @@ the denominator monomial f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derivation import DiagonalDerivation
 from .laurent import LaurentPoly
 from .numtheory import bezout_multi, int_to_decimal
 
 
-@dataclass(frozen=True)
-class SliceData:
+class SliceData(NamedTuple):
     """Bezout exponents m, slice monomial s = prod x_i^(m_i) with
     D(s) = g*s, and the denominator f = prod over m_i < 0 of x_i^(-m_i),
     so that s is regular once f is inverted."""

@@ -379,6 +379,14 @@ class TestProblemFile:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("argv", [("--file=",), ("--file", "")])
+    def test_empty_path_is_refused_by_name(self, argv):
+        """An empty path names no file; read as a path it would be the
+        current directory."""
+        code, out, err = run_cli("slice", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --file: the problem file path is empty\n"
+
     def test_unknown_key(self, tmp_path):
         path = problem(tmp_path, "vars: x y\nweights: 1 -1\ncolor: blue\n")
         code, _, err = run_cli("slice", "--file", path)
