@@ -69,17 +69,26 @@ def _require_slice(d: DiagonalDerivation, s: LaurentPoly) -> None:
     raise ValueError("s is not a slice: need a single monomial with D(s) = s")
 
 
+def _times_slice_power(
+    a: tuple[int, ...], m: tuple[int, ...], c: Fraction | int, delta: int
+) -> tuple[tuple[int, ...], Fraction | int]:
+    """x^a * s^delta for the slice s = c*x^m, as the exponents a + delta*m
+    and the factor c^delta, which is 1 when c is 1.  It works on exponent
+    tuples: building either caller from ring operations measured slower."""
+    exps = tuple([x + delta * y for x, y in zip(a, m)])
+    return exps, 1 if c == 1 else Fraction(c) ** delta
+
+
 def _u_images(d: DiagonalDerivation, s: LaurentPoly) -> tuple[LaurentPoly, ...]:
     """The kernel generators u_i = x_i * s^(-w_i) as elements of d.ctx: for
     the slice s = c*x^m, the monomial c^(-w_i) * x^(e_i - w_i*m)."""
     m = s.monomial_exponents()
     c = s.coefficient(m)
+    n = d.ctx.n
     images = []
     for i, w in enumerate(d.weights):
-        exps = [-w * e for e in m]
-        exps[i] += 1
-        coeff = 1 if c == 1 else Fraction(c) ** -w
-        images.append(LaurentPoly.monomial(d.ctx, tuple(exps), coeff))
+        exps, coeff = _times_slice_power((0,) * i + (1,) + (0,) * (n - 1 - i), m, c, -w)
+        images.append(LaurentPoly.monomial(d.ctx, exps, coeff))
     return tuple(images)
 
 
@@ -135,9 +144,8 @@ def reconstruct_from_slice_coordinates(
         for a, coeff in part.terms.items():
             delta = w - d.term_weight(a)
             if delta:
-                a = tuple([x + delta * y for x, y in zip(a, m)])
-                if c != 1:
-                    coeff *= Fraction(c) ** delta
+                a, factor = _times_slice_power(a, m, c, delta)
+                coeff *= factor
             total[a] = total.get(a, 0) + coeff
     return LaurentPoly(d.ctx, total)
 

@@ -11,13 +11,20 @@ gives up without raising, and the recursive descent reads the text instead.
 The descent is the only source of ParseError and the only reader of a power
 of a number, so it alone applies MAX_POWER_BITS.
 
-Each ring context keeps a two-way monomial table, each way bounded at
-_FACTOR_TEXT_LIMIT entries: exponent vector to factor text, which only the
-printer fills, so a monomial printed before costs one lookup; and factor text
-to exponent vector, which the printer fills with every text it builds and the
-fast path with every monomial it reads, so a monomial printed or read before
-is read again with one lookup.  The printer builds a new factor text from
-power texts ("y^-1") that every context with the same variable name shares.
+Monomial texts depend on the variable names only, so every ring context
+over one tuple of names, a copied context included, shares one table of
+them, an entry of the module's registry `_MONOMIAL_TEXTS`.  The table works
+two ways: exponent vector to factor text, which only the printer fills, so
+a monomial printed before costs one lookup; and factor text to exponent
+vector, which the printer fills with every text it builds and the fast path
+with every monomial it reads, so a monomial printed or read before is read
+again with one lookup.  The printer builds a new factor text from the
+tuple's power texts ("y^-1"), which the entry keeps too.  One constant,
+_MONOMIAL_TEXT_LIMIT, bounds the texts of all entries together: a print or
+a read that finds the count past it drops the registry, keeping only its
+own tuple's texts if they alone fit, and filling starts over.  Within one
+call the count may rise to twice the bound, and no text is stored past
+that, so the registry never holds more than 2 * _MONOMIAL_TEXT_LIMIT texts.
 
 `+` is a two-term `LaurentPoly.sum`.  `substitute` and the descent add each
 term they build, a rational times a monomial times a product of powers, to
@@ -28,7 +35,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 from operator import add, getitem, index
@@ -89,24 +95,18 @@ class Frozen:
 class RingCtx(Frozen):
     """Ordered variable context of a Laurent polynomial ring over Q.
 
-    Each instance also carries a two-way monomial table: `_factor_text`,
-    from exponent tuple to factor text ("x^2*y^-1"), and `_factor_exps`, from
-    factor text in the fast parser's form ("x^2*y^~1") back to the exponent
-    tuple.  The printer fills both ways (see `LaurentPoly.__str__`) and the
-    parser's fast path the second, with every monomial it reads (see
-    `parse`); each way stops growing at _FACTOR_TEXT_LIMIT entries.  Every
-    entry of `_factor_exps` is the tuple that the fast path's factor loop
-    computes for its text, so a lookup and a fresh read agree, and
-    `parse(str(p)) == p` holds with the table cold, warm or full.  The
-    printer builds a factor text it has no entry for from `_power_text`,
-    one table per variable from exponent to power text ("y^-1"), which
-    contexts share by variable name (see `_power_texts`).
-    The only field is `names`: equality, hash, repr and pickling never see
-    the tables, so two equal contexts, or a context and its unpickled copy,
-    each have their own monomial table.
+    The only field, and the only attribute, is `names`.  The printer and
+    the parser's fast path find the monomial texts of a context by its
+    names, in the registry's `_MonomialTexts` entry for them, so every
+    context over one tuple of names, such as two equal contexts or a context
+    and its pickled or deep-copied twin, shares one bounded monomial table
+    (see `_MonomialTexts` and `_MONOMIAL_TEXT_LIMIT`).  Every entry from
+    factor text back to exponent tuple is the tuple that the fast path's
+    factor loop computes for its text, so a lookup and a fresh read agree,
+    and `parse(str(p)) == p` holds whatever the table holds.
     """
 
-    __slots__ = ("names", "_factor_text", "_factor_exps", "_power_text")
+    __slots__ = ("names",)
     __match_args__ = ("names",)
 
     def __init__(self, names: Sequence[str]):
@@ -119,9 +119,6 @@ class RingCtx(Frozen):
         if len(set(names)) != len(names):
             raise ValueError("variable names must be pairwise distinct")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_factor_text", {})
-        object.__setattr__(self, "_factor_exps", {})
-        object.__setattr__(self, "_power_text", tuple(map(_power_texts, names)))
 
     # every ring operation compares its operands' contexts, so these two
     # skip the generic field walk
@@ -242,40 +239,85 @@ def _merge_term(
     return common
 
 
-# The most entries each way of a ring context's monomial table takes; a full
-# table stops growing, and the printer builds, and the parser reads, the text
-# of any other monomial each time.  The largest context of the `algebra`
-# benchmark reaches about 1,130 entries either way.
-_FACTOR_TEXT_LIMIT = 4096
-
-
-# The most exponents a variable's power texts keep, and the most variable
-# names whose power texts are kept for the life of the process.  Together
-# they bound that memory at 64 * 1024 short strings.
-_POWER_TEXT_LIMIT = 1024
-_POWER_NAMES = 64
+# The most monomial texts that the registry keeps for all tuples of names
+# together, each entry counting one for itself: twice 4,096, the most that one
+# ring context's two-way table once held.  The count is checked when a print
+# or a read starts (`_monomial_texts`), so during one call it may pass the
+# bound by the texts that call adds, up to twice the bound, where storing
+# stops.  The largest tuple of the `algebra` benchmark reaches about 1,130
+# entries either way in one job.
+_MONOMIAL_TEXT_LIMIT = 2 * 4096
 
 
 class _PowerTexts(dict):
     """Exponent -> the printer's text of one variable to that power: "" for
     0, the name, which is kept as the entry for 1, and "name^e" for any
-    other e, built on first use.  At most _POWER_TEXT_LIMIT are kept."""
+    other e, built on first use and kept, and counted towards the bound,
+    while the count is below twice the bound."""
 
     __slots__ = ()
 
     def __missing__(self, e: int) -> str:
+        global _texts_kept
         text = f"{self[1]}^{int_to_decimal(e)}"
-        if len(self) < _POWER_TEXT_LIMIT:
+        if _texts_kept < 2 * _MONOMIAL_TEXT_LIMIT:
             self[e] = text
+            _texts_kept += 1
         return text
 
 
-@lru_cache(maxsize=_POWER_NAMES)
-def _power_texts(name: str) -> _PowerTexts:
-    """The power texts of the variable `name`.  They depend on nothing
-    else, so every ring context with that name shares one table, and a
-    context built for each job starts with the texts of the jobs before."""
-    return _PowerTexts({0: "", 1: name})
+class _MonomialTexts:
+    """The monomial texts of one tuple of variable names: `factor_text`,
+    from exponent tuple to factor text ("x^2*y^-1"); `factor_exps`, from
+    factor text in the fast parser's form ("x^2*y^~1") back to the exponent
+    tuple; and `power_text`, each variable's `_PowerTexts`."""
+
+    __slots__ = ("factor_text", "factor_exps", "power_text")
+
+    def __init__(self, names: tuple[str, ...]):
+        self.factor_text: dict[tuple[int, ...], str] = {}
+        self.factor_exps: dict[str, tuple[int, ...]] = {}
+        self.power_text = tuple([_PowerTexts({0: "", 1: name}) for name in names])
+
+    def size(self) -> int:
+        """The count this entry adds to the bound: one, plus its texts."""
+        powers = sum([len(texts) - 2 for texts in self.power_text])
+        return 1 + len(self.factor_text) + len(self.factor_exps) + powers
+
+
+# tuple of variable names -> its monomial texts, and the count of every text
+# kept in them since the registry last started over; the count may run ahead
+# of the texts, when the printer stores a text the parser had stored
+_MONOMIAL_TEXTS: dict[tuple[str, ...], _MonomialTexts] = {}
+_texts_kept = 0
+
+
+def _monomial_texts(names: tuple[str, ...]) -> _MonomialTexts:
+    """The registry's entry for `names`, made and counted on first use,
+    after the registry starts over if its count has passed the bound."""
+    global _texts_kept
+    if _texts_kept > _MONOMIAL_TEXT_LIMIT:
+        _start_over(names)
+    texts = _MONOMIAL_TEXTS.get(names)
+    if texts is None:
+        texts = _MONOMIAL_TEXTS[names] = _MonomialTexts(names)
+        _texts_kept += 1
+    return texts
+
+
+def _start_over(names: tuple[str, ...]) -> None:
+    """Start the registry over, when a print or a read over `names` finds
+    its count past the bound: every entry is dropped, and the entry of
+    `names` is kept, and counted exactly, when it alone fits, so a print
+    and then a read over the same names share the texts that the print
+    kept."""
+    global _texts_kept
+    texts = _MONOMIAL_TEXTS.get(names)
+    _MONOMIAL_TEXTS.clear()
+    _texts_kept = 0
+    if texts is not None and (size := texts.size()) <= _MONOMIAL_TEXT_LIMIT:
+        _MONOMIAL_TEXTS[names] = texts
+        _texts_kept = size
 
 
 class LaurentPoly:
@@ -287,10 +329,10 @@ class LaurentPoly:
     gcd(_den, every numerator) == 1; the zero polynomial is ({}, 1).  Each
     value has one stored form, which `==` and `hash` compare.  Nothing is
     mutated after construction; all operations return fresh values, so
-    sharing across threads is safe.  (The monomial table on the ring
-    context does grow, one whole entry at a time: threads that print or
-    parse at once may both build an entry, and may each add one past the
-    table's bound.)
+    sharing across threads is safe.  (The shared monomial texts do grow,
+    one whole text at a time: threads that print or parse at once may both
+    build a text, and may miscount the texts kept, so under threads the
+    bound on them holds only roughly.)
 
     The public constructor takes any `int` or `Fraction` coefficients and
     integer exponents, and raises TypeError for anything else, floats
@@ -632,12 +674,14 @@ class LaurentPoly:
         variable) and `*`-joined factors `x`, `x^3`, `x^-2`; "0" for zero.
 
         The factor text of a monomial ("x^2*y^-1", "" for the constant) is
-        joined from the context's power texts once per ring context: the
-        context's table keeps it for every later print, and keeps the way
-        back from it to the exponent tuple for `parse`, until each way holds
-        _FACTOR_TEXT_LIMIT entries.  The reverse entry, the text with "^-"
-        written "^~", is the tuple the parser's factor loop reads from that
-        text, because that loop reads back exactly the factors written here.
+        joined from power texts once per tuple of variable names: the
+        tuple's entry in the registry keeps it for every later print, and
+        keeps the way back from it to the exponent tuple for `parse`, while
+        the registry has room and until it starts over (see
+        `_MONOMIAL_TEXT_LIMIT`).  The reverse
+        entry, the text with "^-" written "^~", is the tuple the parser's
+        factor loop reads from that text, because that loop reads back
+        exactly the factors written here.
         Coefficients are formatted with `str`, and the whole text again with
         `int_to_decimal` when one of them is past the interpreter's digit
         limit; power texts fall back the same way.  So integers of any
@@ -652,11 +696,14 @@ class LaurentPoly:
 
     def _text(self, decimal: Callable[[int], str]) -> str:
         """The text `__str__` describes, with integers formatted by `decimal`."""
+        global _texts_kept
         nums = self._num
-        ctx = self.ctx
-        powers = ctx._power_text
-        table = ctx._factor_text
-        back = ctx._factor_exps
+        names = self.ctx.names
+        texts = _monomial_texts(names)
+        powers = texts.power_text
+        table = texts.factor_text
+        back = texts.factor_exps
+        room = 2 * _MONOMIAL_TEXT_LIMIT
         common = self._den
         # gcd(num, common) -> "/" and the reduced denominator, "" when it is 1
         suffixes: dict[int, str] = {}
@@ -679,10 +726,12 @@ class LaurentPoly:
             factors = table.get(exps)
             if factors is None:
                 factors = "*".join(filter(None, map(getitem, powers, exps)))
-                if len(table) < _FACTOR_TEXT_LIMIT:
+                if _texts_kept < room:
                     table[exps] = factors
-                if factors and len(back) < _FACTOR_TEXT_LIMIT:
-                    back[factors.replace("^-", "^~")] = exps
+                    _texts_kept += 1
+                    if factors:
+                        back[factors.replace("^-", "^~")] = exps
+                        _texts_kept += 1
             if not factors:
                 out.append(decimal(num) + suffix)
             elif num == 1 and not suffix:
@@ -905,12 +954,14 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
 
     A '-' right after '^' belongs to the exponent: it is marked '~' (a
     character no accepted text contains) before the text is split into terms
-    on the other signs.  A monomial text the context's table knows gives its
-    exponent tuple with one lookup; any other is split into factors on '*',
-    and the table learns its tuple.  Each distinct coefficient text and each
+    on the other signs.  A monomial text that the table of the context's
+    names knows gives its exponent tuple with one lookup; any other is split
+    into factors on '*', and the table learns its tuple while it has room
+    (see `_MONOMIAL_TEXT_LIMIT`).  Each distinct coefficient text and each
     distinct factor text is read once per call, each kind in its own memo,
     since "2" is a coefficient in "2*x" and no factor at all in "x*2".
     """
+    global _texts_kept
     if "(" in text or ")" in text or "~" in text:
         return None
     pieces = text.replace("^-", "^~").replace("-", "+-").split("+")
@@ -920,7 +971,8 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
             return None
         del pieces[0]
     names = ctx.names
-    known = ctx._factor_exps
+    known = _monomial_texts(names).factor_exps
+    room = 2 * _MONOMIAL_TEXT_LIMIT
     coefficients: dict[str, tuple[int, int]] = {}
     powers: dict[str, tuple[int, int]] = {}
     constant = (0,) * len(names)
@@ -954,8 +1006,9 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
                 i, k = value
                 vector[i] += k
             exps = tuple(vector)
-            if len(known) < _FACTOR_TEXT_LIMIT:
+            if _texts_kept < room:
                 known[piece] = exps
+                _texts_kept += 1
         if num:
             terms.append((exps, -num if negate else num))
             dens.append(den)
@@ -975,13 +1028,18 @@ def parse(text: str, ctx: RingCtx) -> LaurentPoly:
     Both give the same polynomial, and only the descent raises.  The fast
     path reads each term as an optional coefficient and a monomial text,
     and looks that text up in the context's table from factor text to
-    exponent tuple.  The printer adds the text of every monomial it
-    writes, and the fast path the text of every monomial it reads, until
-    the table holds _FACTOR_TEXT_LIMIT (4096) entries.  Either way an entry
-    is the tuple that reading its text factor by factor gives, since the
-    printer writes each factor as the fast path reads it, so a lookup
-    changes no result: a printed polynomial reads back equal,
-    `parse(str(p)) == p`, and with the printed polynomial's own key tuples.
+    exponent tuple.  Every context over the same tuple of names, whether
+    built separately or copied, shares that table.  The printer adds the
+    text of every monomial it writes, and the fast path the text of every
+    monomial it reads, while the texts of all tuples together number
+    fewer than twice _MONOMIAL_TEXT_LIMIT (8192).  A print or a read that
+    finds them past the bound first starts the registry over, keeping the
+    texts of its own names if they alone fit.  Either way an entry is the
+    tuple that reading its text factor by factor gives, since the printer
+    writes each factor as the fast path reads it, so a lookup changes no
+    result: a printed polynomial reads back equal, `parse(str(p)) == p`,
+    and, while the registry keeps its texts, with the printed polynomial's
+    own key tuples.
 
     Raises ParseError, with line and column, for a syntax error, a non-ASCII
     character, an unknown variable, parentheses nested more than

@@ -6,6 +6,7 @@ the denominator monomial f.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .derivation import DiagonalDerivation
@@ -34,7 +35,7 @@ def faithfulness_index(d: DiagonalDerivation) -> int:
     """
     if d.is_zero():
         raise ValueError("no nonzero weights")
-    return bezout_multi(d.weights).g
+    return gcd(*d.weights)
 
 
 def build_slice(d: DiagonalDerivation) -> SliceData:

@@ -158,7 +158,8 @@ def reference_substitute(p: LaurentPoly, images) -> LaurentPoly:
 def reference_str(p: LaurentPoly) -> str:
     """The printer with no factor-text table: it builds every factor text
     for every term.  It is the reference for the table path, so `str` must
-    give its text whether the context's table is cold, warm or full.  Uses
+    give its text whether the table of the context's names is cold, warm
+    or full.  Uses
     plain `str` on integers, so it covers coefficients and exponents below
     the interpreter's digit limit."""
     if not p.terms:

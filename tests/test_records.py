@@ -157,8 +157,8 @@ def test_pickle_and_deepcopy_round_trip(name):
 
 
 def test_laurent_poly_round_trips_with_a_working_context():
-    """A copied polynomial brings a copy of its context, whose monomial
-    table starts empty and fills again as the copy prints and parses."""
+    """A copied polynomial brings a copy of its context, which shares the
+    original's monomial table, since the table belongs to the names."""
     str(HALF_X)  # warms the original context's tables
     for twin in (pickle.loads(pickle.dumps(HALF_X)), copy.deepcopy(HALF_X)):
         assert twin == HALF_X and hash(twin) == hash(HALF_X)

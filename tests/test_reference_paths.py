@@ -5,8 +5,13 @@ errors alike, and `parse` must read parenthesis-free text, which it reads
 with string splits, exactly as it reads the same text in parentheses, which
 only its recursive descent reads."""
 
+import copy
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from math import gcd
 
 from hypothesis import example, given
@@ -43,6 +48,15 @@ from helpers import (
 
 CONTEXTS = (CTX_X, CTX_XY, CTX_XYZ)
 HUGE = 10**60 + 7  # far beyond 64 bits, well below the int <-> str digit limit
+_UNUSED = count()
+
+
+def unused_name() -> str:
+    """A variable name that no other context in the test run has.  Every
+    context over one tuple of names shares that tuple's monomial table, so
+    a context with such a name starts with an empty table whatever ran
+    before it."""
+    return f"cold{next(_UNUSED)}"
 
 
 def outcome(call, *args):
@@ -220,23 +234,27 @@ def test_slice_coordinates_round_trip_under_any_slice(case, data):
 
 
 def test_str_is_the_same_with_a_cold_a_warm_and_a_full_table():
-    ctx = RingCtx(("x", "y", "z"))  # a new context starts with an empty table
-    p = parse("(x - y^-1 + 2*z^-3 - 1/2)^4 + 5/3*x^-11*y^12", ctx)
+    x, y, z = names = (unused_name(), unused_name(), unused_name())
+    ctx = RingCtx(names)  # unused names: the table starts empty
+    p = parse(f"({x} - {y}^-1 + 2*{z}^-3 - 1/2)^4 + 5/3*{x}^-11*{y}^12", ctx)
     cold = str(p)
     assert cold == reference_str(p)
     assert str(p) == cold
-    # 9261 distinct monomials, more than twice the table's bound of 4096
+    # 9261 distinct monomials, more texts each way than the bound of 8192 on
+    # the texts of all tuples of names together
     cube = LaurentPoly(ctx, {(a, b, c): a - b + 2 * c or 1 for a in range(-10, 11)
                              for b in range(-10, 11) for c in range(-10, 11)})
     assert str(cube) == reference_str(cube)
     assert str(cube) == reference_str(cube)
     assert str(p) == cold
     unseen = LaurentPoly(ctx, {(40, 1, 0): Fraction(-3, 7), (0, -40, 2): 1, (0, 0, 99): -1})
-    assert str(unseen) == reference_str(unseen) == "-3/7*x^40*y - z^99 + y^-40*z^2"
-    # contexts share the power texts of a name, wherever the name stands
-    shuffled = RingCtx(("z", "x", "y"))
+    assert str(unseen) == reference_str(unseen) == f"-3/7*{x}^40*{y} - {z}^99 + {y}^-40*{z}^2"
+    # the same names in another order are another tuple, with its own texts
+    shuffled = RingCtx((z, x, y))
     assert str(p.renamed(shuffled)) == reference_str(p.renamed(shuffled))
-    # 5000 distinct powers of y, more than a variable's power texts keep
+    # 5000 distinct powers of y: with their monomials, more texts than the
+    # bound, so the registry starts over after each print, and the second
+    # print builds every text again
     powers = LaurentPoly(ctx, {(1, b, -1): b or 1 for b in range(-2500, 2500)})
     assert str(powers) == reference_str(powers)
     assert str(powers) == reference_str(powers)
@@ -244,7 +262,7 @@ def test_str_is_the_same_with_a_cold_a_warm_and_a_full_table():
 
 def test_printing_leaves_the_context_value_alone():
     first = RingCtx(("u", "v"))
-    second = RingCtx(("u", "v"))  # equal, built separately, with its own table
+    second = RingCtx(("u", "v"))  # equal, built separately, sharing first's table
     before = (hash(first), repr(first), str(first))
     p = parse("3*u^2*v^-1 - u + 1/2*v^7", first)
     q = LaurentPoly(second, p.terms)
@@ -310,15 +328,18 @@ def test_flat_text_parses_as_in_parentheses(text):
         assert parse(str(got), CTX_XYZ) == got
 
 
-# The two-way monomial table.  `parse` reads a monomial text that the ring
-# context's table knows with one lookup, and the table learns the text of
-# every monomial the printer writes and of every parsed term whose factors
-# are all variables.  Each text must read as the recursive descent reads it
-# in parentheses whatever the table holds: nothing (cold), the texts read
-# before (warm), or more than its bound of 4096 entries each way (full).
-# A read that takes a stored tuple returns that tuple object as the key, so
-# a text read back shares its keys with the polynomial printed, and with an
-# earlier read of the same monomials; that is how a test sees the lookup.
+# The two-way monomial table.  `parse` reads a monomial text that the table
+# of the context's names knows with one lookup, and the table learns the text
+# of every monomial the printer writes and of every parsed term whose factors
+# are all variables.  Every context over one tuple of names shares the
+# table, and one bound of 8192 texts covers the tables of all tuples
+# together.  Each text must read as the recursive descent reads it in
+# parentheses whatever the table holds: nothing (cold, a context with a name
+# no other context has), the texts read before (warm), or the texts left
+# after the tables passed their bound (full).  A read that takes a stored
+# tuple returns that tuple object as the key, so a text read back shares its
+# keys with the polynomial printed, and with an earlier read of the same
+# monomials; that is how a test sees the lookup.
 BIG = "1" * 5000  # past the interpreter's int <-> str digit limit
 TABLE_TEXTS = [
     # numbers before, among and after the variables, and zero coefficients
@@ -338,9 +359,10 @@ TABLE_TEXTS = [
 
 @cache
 def filled(names=("x", "y", "z")):
-    """A context whose table holds more than 4096 entries each way: the
-    printer has written, and the parser read back, 9261 distinct monomials.
-    A full table stays as it is, so one such context serves every test."""
+    """A context whose tuple of names has taken the tables past their bound:
+    the printer has written, and the parser read back, 9261 distinct
+    monomials, more than 8192 texts each, so the tables started over on the
+    way.  One such context serves every test."""
     ctx = RingCtx(names)
     cube = LaurentPoly(ctx, {(a, b, c): a - b + 2 * c or 1 for a in range(-10, 11)
                              for b in range(-10, 11) for c in range(-10, 11)})
@@ -359,7 +381,7 @@ def test_flat_texts_read_as_the_descent_with_the_table_cold_warm_and_full():
     warm, full = RingCtx(names), filled(names)
     for ctx in (None, warm, warm, full, full):
         for text in TABLE_TEXTS:
-            on = ctx or RingCtx(names)  # None: a cold context for each text
+            on = ctx or RingCtx((*names, unused_name()))  # None: a cold context for each text
             got = unplaced(outcome(parse, text, on))
             assert got == unplaced(outcome(parse, f"({text})", on)), (text, ctx)
             if isinstance(got, LaurentPoly):  # the printer's texts go into the table too
@@ -367,11 +389,122 @@ def test_flat_texts_read_as_the_descent_with_the_table_cold_warm_and_full():
 
 
 def test_repeated_reads_of_a_monomial_share_its_key():
-    ctx = RingCtx(("x", "y", "z"))
+    ctx = RingCtx(("x", "y", "z", unused_name()))
     first = parse("x*y^-1 - 2*z^3*y + 1/2*x^2*y^-2*z^-1 + 7", ctx)
     again = parse("3*x*y^-1 + z^3*y - x^2*y^-2*z^-1", ctx)
     keys = {e: e for e in first.support()}
     assert [e for e in again.support() if keys[e] is not e] == []
+
+
+def test_a_printed_monomial_reads_back_through_a_fresh_equal_context():
+    ctx = RingCtx((unused_name(), unused_name()))
+    p = LaurentPoly(ctx, {(2, -1): 3, (0, 1): Fraction(-1, 2)})
+    keys = {e: e for e in p.support()}
+    text = str(p)
+    for other in (RingCtx(ctx.names), copy.deepcopy(ctx)):  # equal, not the same object
+        assert other is not ctx
+        back = parse(text, other)
+        assert back.renamed(ctx) == p
+        assert [e for e in back.support() if keys[e] is not e] == []
+
+
+def big_poly(ctx: RingCtx, side: int) -> LaurentPoly:
+    """side^n distinct monomials, exponents in [-side/2, side/2)."""
+    low = -(side // 2)
+    exps = [()]
+    for _ in ctx.names:
+        exps = [(*e, a) for e in exps for a in range(low, low + side)]
+    return LaurentPoly(ctx, {e: sum(e) or 1 for e in exps})
+
+
+def test_texts_past_the_bound_print_and_read_back_across_two_name_tuples():
+    """Two tuples of names each print and read more distinct monomials than
+    the bound of 8192 texts: every text still reads back and prints as the
+    reference printer does, also over a context made before the registry
+    started over, and a text read then no longer finds its stored keys."""
+    early = RingCtx((unused_name(), unused_name()))  # made before the drop
+    small = LaurentPoly(early, {(3, -1): 2, (0, 5): Fraction(1, 3), (0, 0): -1})
+    keys = {e: e for e in small.support()}
+    text = str(small)
+    other = RingCtx((unused_name(), unused_name(), unused_name()))
+    for ctx, side in ((early, 70), (other, 21), (early, 71)):  # 4900, 9261, 5041 monomials
+        big = big_poly(ctx, side)
+        assert str(big) == reference_str(big)
+        assert parse(str(big), ctx) == big
+        assert str(big) == reference_str(big)  # again, after the registry started over
+    # the tables of early's names were dropped: the text reads back fresh keys
+    again = parse(text, early)
+    assert again == small
+    assert [e for e in again.support() if any(e) and keys[e] is e] == []
+    assert str(small) == text == reference_str(small)
+    assert parse(str(small), early) == small
+    assert parse(text, RingCtx(early.names)) == small
+
+
+def test_one_bound_covers_the_texts_of_all_tuples_of_names():
+    """Each context over new names keeps a few texts; 3000 of them take the
+    texts of all tuples together past the bound of 8192, so the registry
+    starts over and the first context's text is read afresh."""
+    first = RingCtx((unused_name(), unused_name()))
+    p = LaurentPoly(first, {(1, -2): 5})
+    text = str(p)
+    (key,) = parse(text, first).support()
+    assert key is next(iter(p.support()))  # read through the table
+    for _ in range(3000):
+        q = LaurentPoly.variable(RingCtx((unused_name(),)), 0)
+        assert parse(str(q), q.ctx) == q
+    (fresh,) = parse(text, first).support()
+    assert fresh == key and fresh is not key
+
+
+def test_one_print_keeps_at_most_twice_the_bound_of_texts():
+    """A print of 27,000 distinct monomials stores texts only until the
+    registry holds twice the bound, 16,384 texts, about 1.6 MB of them; the
+    54,000 texts it builds would take about 6 MB."""
+    big = big_poly(RingCtx((unused_name(), unused_name(), unused_name())), 30)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = str(big)
+        kept = tracemalloc.get_traced_memory()[0] - before - sys.getsizeof(text)
+    finally:
+        tracemalloc.stop()
+    assert text == reference_str(big)
+    assert kept < 3_000_000
+
+
+def test_threads_print_and_read_while_the_tables_start_over():
+    """Four threads print and read at once, over one shared tuple of names
+    and one of their own, new monomials at every step: about 40,000 texts,
+    so the tables start over several times while the threads run.  Every
+    text and every polynomial read back is still right."""
+    shared = RingCtx((unused_name(), unused_name()))
+    errors = []
+
+    def work(k):
+        try:
+            own = RingCtx((unused_name(), unused_name()))
+            for step in range(40):
+                for ctx in (shared, own):
+                    p = big_poly(ctx, 8) * LaurentPoly.monomial(ctx, (step, -k))
+                    text = str(p)
+                    if text != reference_str(p) or parse(text, ctx) != p:
+                        errors.append((k, step, text))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t for t in threads if t.is_alive()] == []
+    assert errors == []
 
 
 @given(
@@ -385,7 +518,7 @@ def test_repeated_reads_of_a_monomial_share_its_key():
 @example(parse("(x - y^-1 + 2*z^-3 - 1/2)^4 + 5/3*x^-11*y^12", CTX_XYZ), " ")
 def test_printed_text_reads_back_through_the_table(p, gap):
     names = p.ctx.names
-    cold = RingCtx(names)
+    cold = RingCtx(tuple(unused_name() for _ in names))
     for ctx in (cold, p.ctx, filled(names) if len(names) == 3 else cold):
         q = p.renamed(ctx)  # the same key tuples, over ctx
         text = str(q)
@@ -394,7 +527,9 @@ def test_printed_text_reads_back_through_the_table(p, gap):
         if ctx is cold:  # the printer stored each key it printed, and the read took it
             keys = {e: e for e in q.support()}
             assert [e for e in back.support() if any(e) and keys[e] is not e] == []
-        assert parse(text, RingCtx(names)) == q  # a fresh equal context, with a cold table
+        # one more name, no other context's: a table of its own that starts empty
+        wider = RingCtx((*ctx.names, unused_name()))
+        assert parse(text, wider) == LaurentPoly(wider, {(*e, 0): c for e, c in q.terms.items()})
         spaced = text.replace("*", f"{gap}*{gap}").replace("^", f"{gap}^")
         assert parse(spaced, ctx) == q == parse(f"({spaced})", ctx)
         assert parse(spaced, ctx) == q  # again, now through the entries that read stored

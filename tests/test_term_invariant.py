@@ -8,13 +8,13 @@ which no arithmetic but a division may leave the integers.
 
 Only `laurent.py` may build a polynomial through the trusted constructor,
 touch the term-merge helpers, read the stored numerators, denominator and
-cached coefficient view, or reach the per-context monomial and power-text
-tables; every other module goes through the public operations, `terms`,
-`coefficient` and `support`, which a static check of the package sources
-enforces.  Another static check keeps `assert` statements, which `python -O`
-skips, out of the package, and a third keeps the bound on a power of a
-number inside the parser's recursive descent, the one path that reads such
-a power."""
+cached coefficient view, or reach the registry of monomial and power
+texts that ring contexts share by their names; every other module goes
+through the public operations, `terms`, `coefficient` and `support`, which
+a static check of the package sources enforces.  Another static check
+keeps `assert` statements, which `python -O` skips, out of the package,
+and a third keeps the bound on a power of a number inside the parser's
+recursive descent, the one path that reads such a power."""
 
 import ast
 from functools import reduce
@@ -133,12 +133,15 @@ def test_derivation_results_are_canonical(p, weights, a, b, c):
 def test_only_laurent_touches_the_term_format():
     """No module but laurent.py imports a private name from `.laurent` or
     names `_trusted`, `_accumulate`, `_widen`, `_lowest`, `_merge_term`, the
-    stored `_num`, `_den` and `_view`, either way of a context's monomial
-    table, `_factor_text` and `_factor_exps`, or its `_power_text`; no test
-    does either."""
+    stored `_num`, `_den` and `_view`, or the registry of monomial texts:
+    `_MONOMIAL_TEXTS`, its entries' `_MonomialTexts` and `_PowerTexts` with
+    their `factor_text`, `factor_exps` and `power_text`, the count
+    `_texts_kept` and its bound `_MONOMIAL_TEXT_LIMIT`, `_monomial_texts` and
+    `_start_over`; no test does either."""
     private = {
         "_trusted", "_accumulate", "_widen", "_lowest", "_merge_term", "_num", "_den", "_view",
-        "_factor_text", "_factor_exps", "_power_text",
+        "_MONOMIAL_TEXTS", "_MonomialTexts", "_PowerTexts", "factor_text", "factor_exps",
+        "power_text", "_texts_kept", "_MONOMIAL_TEXT_LIMIT", "_monomial_texts", "_start_over",
     }
     package = Path(ssderiv.__file__).parent
     sources = sorted(package.glob("*.py"))
