@@ -356,7 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"argument --{name}: expected one argument")
     try:
         report = _dispatch(args)
-    except (InputError, ParseError, ValueError) as exc:
+    except ValueError as exc:  # InputError and ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything else is a broken internal invariant

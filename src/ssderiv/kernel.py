@@ -316,10 +316,9 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     an integer last coordinate m = -(s + k*w_pen) / w_last are one residue
     class modulo |w_last| / gcd(w_pen, w_last), found with a modular
     inverse, and m moves by a fixed amount from one k to the next.  With
-    two coordinates the root is that node, for a virtual head that takes
-    only the value 0.  When w_last is 0, or there is one coordinate, the
-    walk goes down to the last coordinate and solves it directly, by one
-    divmod.
+    fewer than three coordinates, or when w_last is 0, the walk goes down
+    to the last coordinate and solves it directly: by one divmod, or, when
+    w_last is 0, with every value the budget allows.
 
     Solutions go into lists keyed by their total degree (a defaultdict);
     each list is sorted and the lists are joined in increasing degree.
@@ -350,16 +349,15 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
         highs[j] = max(highs[j + 1], ws[j])
     # total degree -> the solutions of that degree, in caller order
     buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
-    # the values chosen so far, in walk order; with two coordinates, slot n
-    # holds the virtual head
-    prefix = [0] * (n + 1)
+    # the values chosen so far, in walk order
+    prefix = [0] * n
     last = n - 1
     pen = last - 1
     w_last = ws[last]
     head = -1  # none: the walk goes down to the last coordinate
-    if n > 1 and w_last:
-        head = pen - 1 if n > 2 else n
-        w_pen = ws[pen]
+    if n > 2 and w_last:
+        head = pen - 1
+        w_head, w_pen = ws[head], ws[pen]
         # the second-to-last coordinate's range: _value_range, inlined for
         # speed, with the slopes fixed
         low, high = lows[last], highs[last]
@@ -373,7 +371,7 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
         shift = -(w_pen // g) if w_last > 0 else w_pen // g
         advance = step + shift
 
-        def tail(s: int, r: int, h_min: int, h_max: int, w_head: int) -> None:
+        def tail(s: int, r: int, h_min: int, h_max: int) -> None:
             """Every solution below the node at partial weight s and budget
             r, whose head takes the values h_min..h_max."""
             s += h_min * w_head
@@ -417,9 +415,6 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
                 s += w_head
                 r -= 1
 
-        if n == 2:
-            tail(0, degree, 0, 0, 0)
-            return _joined(buckets)
     # the walk keeps its path in arrays, not on the call stack, so any
     # number of coordinates works: before coordinate j the partial weight is
     # sums[j] and the degree left budgets[j]; tops[j] is the largest value
@@ -445,7 +440,7 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
         else:
             k_min, k_max = _value_range(s, r, ws[j], lows[j + 1], highs[j + 1])
             if j == head:
-                tail(s, r, k_min, k_max, ws[j])
+                tail(s, r, k_min, k_max)
             elif k_min <= k_max:
                 prefix[j], tops[j] = k_min, k_max
                 sums[j + 1], budgets[j + 1] = s + k_min * ws[j], r - k_min

@@ -12,19 +12,21 @@ The descent is the only source of ParseError and the only reader of a power
 of a number, so it alone applies MAX_POWER_BITS.
 
 Monomial texts depend on the variable names only, so every ring context
-over one tuple of names, a copied context included, shares one table of
-them, an entry of the module's registry `_MONOMIAL_TEXTS`.  The table works
-two ways: exponent vector to factor text, which only the printer fills, so
-a monomial printed before costs one lookup; and factor text to exponent
-vector, which the printer fills with every text it builds and the fast path
-with every monomial it reads, so a monomial printed or read before is read
-again with one lookup.  The printer builds a new factor text from the
-tuple's power texts ("y^-1"), which the entry keeps too.  One constant,
-_MONOMIAL_TEXT_LIMIT, bounds the texts of all entries together: a print or
-a read that finds the count past it drops the registry, keeping only its
-own tuple's texts if they alone fit, and filling starts over.  Within one
-call the count may rise to twice the bound, and no text is stored past
-that, so the registry never holds more than 2 * _MONOMIAL_TEXT_LIMIT texts.
+over one tuple of names, a copied or unpickled context included, shares
+one entry of the module's registry of monomial texts, `_MONOMIAL_TEXTS`.
+An entry is a two-way table.  From exponent vector to factor text
+("x^2*y^-1"), which only the printer fills, a monomial printed before
+costs one lookup.  From factor text to exponent vector, which the printer
+fills with every text it builds and the parser's fast path with every
+monomial it reads, a monomial printed or read before is read again with
+one lookup; the printer writes each factor as the fast path reads it, so
+an entry is the tuple that reading its text factor by factor gives, and
+a lookup changes no result.  The printer joins a new factor text from the
+tuple's power texts ("y^-1"), which the entry keeps too.  The count of
+entries and texts stored since the registry last started over has one
+hard cap, _MONOMIAL_TEXT_LIMIT: nothing is stored once the count reaches
+it, and a print or a read that finds it there first clears the registry.
+So the registry never holds more than _MONOMIAL_TEXT_LIMIT texts.
 
 `+` is a two-term `LaurentPoly.sum`.  `substitute` and the descent add each
 term they build, a rational times a monomial times a product of powers, to
@@ -96,14 +98,8 @@ class RingCtx(Frozen):
     """Ordered variable context of a Laurent polynomial ring over Q.
 
     The only field, and the only attribute, is `names`.  The printer and
-    the parser's fast path find the monomial texts of a context by its
-    names, in the registry's `_MonomialTexts` entry for them, so every
-    context over one tuple of names, such as two equal contexts or a context
-    and its pickled or deep-copied twin, shares one bounded monomial table
-    (see `_MonomialTexts` and `_MONOMIAL_TEXT_LIMIT`).  Every entry from
-    factor text back to exponent tuple is the tuple that the fast path's
-    factor loop computes for its text, so a lookup and a fresh read agree,
-    and `parse(str(p)) == p` holds whatever the table holds.
+    the parser find a context's monomial texts by its names, in the
+    registry of monomial texts that the module docstring describes.
     """
 
     __slots__ = ("names",)
@@ -239,28 +235,24 @@ def _merge_term(
     return common
 
 
-# The most monomial texts that the registry keeps for all tuples of names
-# together, each entry counting one for itself: twice 4,096, the most that one
-# ring context's two-way table once held.  The count is checked when a print
-# or a read starts (`_monomial_texts`), so during one call it may pass the
-# bound by the texts that call adds, up to twice the bound, where storing
-# stops.  The largest tuple of the `algebra` benchmark reaches about 1,130
-# entries either way in one job.
+# The hard cap on the registry's count of entries and texts: twice 4,096,
+# the most that one ring context's two-way table once held.  The largest
+# tuple of the `algebra` benchmark reaches about 1,130 entries either way
+# in one job.
 _MONOMIAL_TEXT_LIMIT = 2 * 4096
 
 
 class _PowerTexts(dict):
     """Exponent -> the printer's text of one variable to that power: "" for
     0, the name, which is kept as the entry for 1, and "name^e" for any
-    other e, built on first use and kept, and counted towards the bound,
-    while the count is below twice the bound."""
+    other e, built on first use and kept, and counted, below the cap."""
 
     __slots__ = ()
 
     def __missing__(self, e: int) -> str:
         global _texts_kept
         text = f"{self[1]}^{int_to_decimal(e)}"
-        if _texts_kept < 2 * _MONOMIAL_TEXT_LIMIT:
+        if _texts_kept < _MONOMIAL_TEXT_LIMIT:
             self[e] = text
             _texts_kept += 1
         return text
@@ -279,45 +271,25 @@ class _MonomialTexts:
         self.factor_exps: dict[str, tuple[int, ...]] = {}
         self.power_text = tuple([_PowerTexts({0: "", 1: name}) for name in names])
 
-    def size(self) -> int:
-        """The count this entry adds to the bound: one, plus its texts."""
-        powers = sum([len(texts) - 2 for texts in self.power_text])
-        return 1 + len(self.factor_text) + len(self.factor_exps) + powers
 
-
-# tuple of variable names -> its monomial texts, and the count of every text
-# kept in them since the registry last started over; the count may run ahead
-# of the texts, when the printer stores a text the parser had stored
+# tuple of variable names -> its monomial texts, and the count of entries
+# and texts stored since the registry last started over
 _MONOMIAL_TEXTS: dict[tuple[str, ...], _MonomialTexts] = {}
 _texts_kept = 0
 
 
 def _monomial_texts(names: tuple[str, ...]) -> _MonomialTexts:
     """The registry's entry for `names`, made and counted on first use,
-    after the registry starts over if its count has passed the bound."""
+    after the registry starts over if its count has reached the cap."""
     global _texts_kept
-    if _texts_kept > _MONOMIAL_TEXT_LIMIT:
-        _start_over(names)
+    if _texts_kept >= _MONOMIAL_TEXT_LIMIT:
+        _MONOMIAL_TEXTS.clear()
+        _texts_kept = 0
     texts = _MONOMIAL_TEXTS.get(names)
     if texts is None:
         texts = _MONOMIAL_TEXTS[names] = _MonomialTexts(names)
         _texts_kept += 1
     return texts
-
-
-def _start_over(names: tuple[str, ...]) -> None:
-    """Start the registry over, when a print or a read over `names` finds
-    its count past the bound: every entry is dropped, and the entry of
-    `names` is kept, and counted exactly, when it alone fits, so a print
-    and then a read over the same names share the texts that the print
-    kept."""
-    global _texts_kept
-    texts = _MONOMIAL_TEXTS.get(names)
-    _MONOMIAL_TEXTS.clear()
-    _texts_kept = 0
-    if texts is not None and (size := texts.size()) <= _MONOMIAL_TEXT_LIMIT:
-        _MONOMIAL_TEXTS[names] = texts
-        _texts_kept = size
 
 
 class LaurentPoly:
@@ -329,10 +301,10 @@ class LaurentPoly:
     gcd(_den, every numerator) == 1; the zero polynomial is ({}, 1).  Each
     value has one stored form, which `==` and `hash` compare.  Nothing is
     mutated after construction; all operations return fresh values, so
-    sharing across threads is safe.  (The shared monomial texts do grow,
-    one whole text at a time: threads that print or parse at once may both
-    build a text, and may miscount the texts kept, so under threads the
-    bound on them holds only roughly.)
+    sharing across threads is safe.  (The registry of monomial texts in the
+    module docstring does grow, one whole text at a time, and threads that
+    print or parse at once may miscount it, so under threads its cap holds
+    only roughly.)
 
     The public constructor takes any `int` or `Fraction` coefficients and
     integer exponents, and raises TypeError for anything else, floats
@@ -673,15 +645,9 @@ class LaurentPoly:
         each as a sign, a coefficient (omitted when it is 1 before a
         variable) and `*`-joined factors `x`, `x^3`, `x^-2`; "0" for zero.
 
-        The factor text of a monomial ("x^2*y^-1", "" for the constant) is
-        joined from power texts once per tuple of variable names: the
-        tuple's entry in the registry keeps it for every later print, and
-        keeps the way back from it to the exponent tuple for `parse`, while
-        the registry has room and until it starts over (see
-        `_MONOMIAL_TEXT_LIMIT`).  The reverse
-        entry, the text with "^-" written "^~", is the tuple the parser's
-        factor loop reads from that text, because that loop reads back
-        exactly the factors written here.
+        The factor text of a monomial ("x^2*y^-1", "" for the constant) and
+        the way back from it go into the registry of monomial texts that the
+        module docstring describes.
         Coefficients are formatted with `str`, and the whole text again with
         `int_to_decimal` when one of them is past the interpreter's digit
         limit; power texts fall back the same way.  So integers of any
@@ -698,24 +664,19 @@ class LaurentPoly:
         """The text `__str__` describes, with integers formatted by `decimal`."""
         global _texts_kept
         nums = self._num
-        names = self.ctx.names
-        texts = _monomial_texts(names)
+        texts = _monomial_texts(self.ctx.names)
         powers = texts.power_text
         table = texts.factor_text
         back = texts.factor_exps
-        room = 2 * _MONOMIAL_TEXT_LIMIT
         common = self._den
-        # gcd(num, common) -> "/" and the reduced denominator, "" when it is 1
-        suffixes: dict[int, str] = {}
         out = []
         for exps in sorted(nums, reverse=True):
             num = nums[exps]
             suffix = ""
             if common != 1:  # num/common in lowest terms
                 g = gcd(num, common)
-                suffix = suffixes.get(g)
-                if suffix is None:
-                    suffix = suffixes[g] = "" if g == common else "/" + decimal(common // g)
+                if g != common:
+                    suffix = "/" + decimal(common // g)
                 if g != 1:
                     num //= g
             if num < 0:
@@ -726,10 +687,10 @@ class LaurentPoly:
             factors = table.get(exps)
             if factors is None:
                 factors = "*".join(filter(None, map(getitem, powers, exps)))
-                if _texts_kept < room:
+                if _texts_kept < _MONOMIAL_TEXT_LIMIT:
                     table[exps] = factors
                     _texts_kept += 1
-                    if factors:
+                    if factors and _texts_kept < _MONOMIAL_TEXT_LIMIT:
                         back[factors.replace("^-", "^~")] = exps
                         _texts_kept += 1
             if not factors:
@@ -954,12 +915,9 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
 
     A '-' right after '^' belongs to the exponent: it is marked '~' (a
     character no accepted text contains) before the text is split into terms
-    on the other signs.  A monomial text that the table of the context's
-    names knows gives its exponent tuple with one lookup; any other is split
-    into factors on '*', and the table learns its tuple while it has room
-    (see `_MONOMIAL_TEXT_LIMIT`).  Each distinct coefficient text and each
-    distinct factor text is read once per call, each kind in its own memo,
-    since "2" is a coefficient in "2*x" and no factor at all in "x*2".
+    on the other signs.  A monomial text that the registry of monomial
+    texts (see the module docstring) knows gives its exponent tuple with
+    one lookup; any other is split into factors on '*', and stored.
     """
     global _texts_kept
     if "(" in text or ")" in text or "~" in text:
@@ -972,9 +930,6 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
         del pieces[0]
     names = ctx.names
     known = _monomial_texts(names).factor_exps
-    room = 2 * _MONOMIAL_TEXT_LIMIT
-    coefficients: dict[str, tuple[int, int]] = {}
-    powers: dict[str, tuple[int, int]] = {}
     constant = (0,) * len(names)
     terms, dens = [], []
     for piece in pieces:
@@ -983,11 +938,9 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
         num = den = 1
         if piece[:1].isdigit():  # a coefficient, then '*' and a monomial or nothing
             head, star, piece = piece.partition("*")
-            value = coefficients.get(head)
+            value = _flat_coefficient(head)
             if value is None:
-                value = coefficients[head] = _flat_coefficient(head)
-                if value is None:
-                    return None
+                return None
             num, den = value
             if not star:
                 if num:
@@ -998,15 +951,13 @@ def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
         if exps is None:
             vector = list(constant)
             for factor in piece.split("*"):
-                value = powers.get(factor)
+                value = _flat_power(factor, names)
                 if value is None:
-                    value = powers[factor] = _flat_power(factor, names)
-                    if value is None:
-                        return None
+                    return None
                 i, k = value
                 vector[i] += k
             exps = tuple(vector)
-            if _texts_kept < room:
+            if _texts_kept < _MONOMIAL_TEXT_LIMIT:
                 known[piece] = exps
                 _texts_kept += 1
         if num:
@@ -1027,19 +978,8 @@ def parse(text: str, ctx: RingCtx) -> LaurentPoly:
     of string splits first; the recursive descent reads all other text.
     Both give the same polynomial, and only the descent raises.  The fast
     path reads each term as an optional coefficient and a monomial text,
-    and looks that text up in the context's table from factor text to
-    exponent tuple.  Every context over the same tuple of names, whether
-    built separately or copied, shares that table.  The printer adds the
-    text of every monomial it writes, and the fast path the text of every
-    monomial it reads, while the texts of all tuples together number
-    fewer than twice _MONOMIAL_TEXT_LIMIT (8192).  A print or a read that
-    finds them past the bound first starts the registry over, keeping the
-    texts of its own names if they alone fit.  Either way an entry is the
-    tuple that reading its text factor by factor gives, since the printer
-    writes each factor as the fast path reads it, so a lookup changes no
-    result: a printed polynomial reads back equal, `parse(str(p)) == p`,
-    and, while the registry keeps its texts, with the printed polynomial's
-    own key tuples.
+    which it looks up in the registry of monomial texts that the module
+    docstring describes.
 
     Raises ParseError, with line and column, for a syntax error, a non-ASCII
     character, an unknown variable, parentheses nested more than

@@ -336,6 +336,9 @@ def enumerable_cases(draw):
 @example(([-9, 6, 4], 6))
 @example(([8, -9, 6], 6))
 @example(([6, 9, -4, -7], 6))
+# two coordinates: the walk solves the last one by one divmod
+@example(([2, -3], 6))
+@example(([0, 5], 4))
 def test_oracle_matches_direct_enumeration(case):
     ws, degree = case
     expected = sorted(

@@ -136,12 +136,12 @@ def test_only_laurent_touches_the_term_format():
     stored `_num`, `_den` and `_view`, or the registry of monomial texts:
     `_MONOMIAL_TEXTS`, its entries' `_MonomialTexts` and `_PowerTexts` with
     their `factor_text`, `factor_exps` and `power_text`, the count
-    `_texts_kept` and its bound `_MONOMIAL_TEXT_LIMIT`, `_monomial_texts` and
-    `_start_over`; no test does either."""
+    `_texts_kept`, its cap `_MONOMIAL_TEXT_LIMIT` and `_monomial_texts`; no
+    test does either."""
     private = {
         "_trusted", "_accumulate", "_widen", "_lowest", "_merge_term", "_num", "_den", "_view",
         "_MONOMIAL_TEXTS", "_MonomialTexts", "_PowerTexts", "factor_text", "factor_exps",
-        "power_text", "_texts_kept", "_MONOMIAL_TEXT_LIMIT", "_monomial_texts", "_start_over",
+        "power_text", "_texts_kept", "_MONOMIAL_TEXT_LIMIT", "_monomial_texts",
     }
     package = Path(ssderiv.__file__).parent
     sources = sorted(package.glob("*.py"))
