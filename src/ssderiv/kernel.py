@@ -178,6 +178,17 @@ def lambert_degree(weights: Sequence[int]) -> int:
     return max(1, max(0, *ws) + max(0, *(-x for x in ws)))
 
 
+# hilbert_basis refuses weights whose Lambert degree, after dividing them by
+# their gcd, is over this bound.  A two-weight completion advances one degree
+# per level, so its cost grows with L: at L = 10^5 it takes about 0.15 s and
+# 9 MB (2-vCPU VM, CPython 3.11), while two consecutive 335-digit Fibonacci
+# numbers (L ~ 10^335) would never finish and fill memory on the way.  The
+# bound only stops degrees no completion could reach: with more weights the
+# cost grows faster with L (three weights at L = 5*10^3 took 3-5 s and
+# 160-320 MB on the same VM).
+MAX_LAMBERT_DEGREE = 10**5
+
+
 def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
     """Minimal generators of {a in Z_{>=0}^n : <a, weights> = 0} \\ {0}.
 
@@ -228,14 +239,25 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
     at most L, a candidate at most L + 1, and no entry of either exceeds
     L + 1.
 
-    The last few results are cached, keyed by the weights as ints, so
-    kernel_in_B, or any caller that asks again for weights it just passed,
-    gets the same frozen result without a second completion.  Invalid
-    weights are rejected before the cache and raise on every call.
+    The weights are first divided by their gcd, which leaves the basis as
+    it is, and ValueError is raised, before any completion, when the
+    Lambert degree of the result is over MAX_LAMBERT_DEGREE.  The last few
+    results are cached, keyed by those weights as ints, so kernel_in_B, or
+    any caller that asks again for weights it just passed, gets the same
+    frozen result without a second completion.  Invalid weights are
+    rejected before the cache and raise on every call.
     """
     ws = tuple(map(index, weights))
     if not ws:
         raise ValueError("empty weight vector")
+    g = gcd(*ws)
+    if g > 1:
+        ws = tuple([w // g for w in ws])
+    if lambert_degree(ws) > MAX_LAMBERT_DEGREE:
+        raise ValueError(
+            "the weights divided by their gcd have a Lambert degree over "
+            f"{MAX_LAMBERT_DEGREE}, too large for the Hilbert basis completion"
+        )
     return _hilbert_completion(ws)
 
 
@@ -318,7 +340,11 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     inverse, and m moves by a fixed amount from one k to the next.  With
     fewer than three coordinates, or when w_last is 0, the walk goes down
     to the last coordinate and solves it directly: by one divmod, or, when
-    w_last is 0, with every value the budget allows.
+    w_last is 0, with every value the budget allows.  Two weights of
+    opposite signs skip the walk: their solutions are the multiples
+    t * (|w_2|, |w_1|) / gcd(w_1, w_2) of one primitive vector, listed
+    directly, so the cost is one step per solution, not one per value of a
+    coordinate.
 
     Solutions go into lists keyed by their total degree (a defaultdict);
     each list is sorted and the lists are joined in increasing degree.
@@ -332,6 +358,11 @@ def weight_zero_exponents(weights: Sequence[int], degree: int) -> list[tuple[int
     degree = index(degree)
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    if n == 2 and given[0] * given[1] < 0:
+        # the multiples of one primitive solution, one per total degree
+        g = gcd(*given)
+        a, b = abs(given[1]) // g, abs(given[0]) // g
+        return [(t * a, t * b) for t in range(degree // (a + b) + 1)]
     # walk order: coordinates by decreasing |weight|; back[i] is where the
     # caller's coordinate i sits in the walk
     order = sorted(range(n), key=lambda i: -abs(given[i]))

@@ -13,20 +13,16 @@ of a number, so it alone applies MAX_POWER_BITS.
 
 Monomial texts depend on the variable names only, so every ring context
 over one tuple of names, a copied or unpickled context included, shares
-one entry of the module's registry of monomial texts, `_MONOMIAL_TEXTS`.
-An entry is a two-way table.  From exponent vector to factor text
-("x^2*y^-1"), which only the printer fills, a monomial printed before
-costs one lookup.  From factor text to exponent vector, which the printer
-fills with every text it builds and the parser's fast path with every
-monomial it reads, a monomial printed or read before is read again with
-one lookup; the printer writes each factor as the fast path reads it, so
-an entry is the tuple that reading its text factor by factor gives, and
-a lookup changes no result.  The printer joins a new factor text from the
-tuple's power texts ("y^-1"), which the entry keeps too.  The count of
-entries and texts stored since the registry last started over has one
-hard cap, _MONOMIAL_TEXT_LIMIT: nothing is stored once the count reaches
-it, and a print or a read that finds it there first clears the registry.
-So the registry never holds more than _MONOMIAL_TEXT_LIMIT texts.
+one entry of the module's registry of monomial texts, `_MONOMIAL_TEXTS`,
+which only the printer writes.  An entry is a two-way table: from
+exponent vector to factor text ("x^2*y^-1"), so a monomial printed before
+costs one lookup, and from that text back to the printed vector, so the
+parser's fast path reads a printed monomial with one lookup.  The printer
+joins a new factor text from the tuple's power texts ("y^-1"), which the
+entry keeps too.  The count of entries and texts stored since the
+registry last started over has one hard cap, _MONOMIAL_TEXT_LIMIT:
+nothing is stored once the count reaches it, and a print that finds it
+there first clears the registry.
 
 `+` is a two-term `LaurentPoly.sum`.  `substitute` and the descent add each
 term they build, a rational times a monomial times a product of powers, to
@@ -261,8 +257,8 @@ class _PowerTexts(dict):
 class _MonomialTexts:
     """The monomial texts of one tuple of variable names: `factor_text`,
     from exponent tuple to factor text ("x^2*y^-1"); `factor_exps`, from
-    factor text in the fast parser's form ("x^2*y^~1") back to the exponent
-    tuple; and `power_text`, each variable's `_PowerTexts`."""
+    that text back to the exponent tuple; and `power_text`, each
+    variable's `_PowerTexts`."""
 
     __slots__ = ("factor_text", "factor_exps", "power_text")
 
@@ -279,8 +275,9 @@ _texts_kept = 0
 
 
 def _monomial_texts(names: tuple[str, ...]) -> _MonomialTexts:
-    """The registry's entry for `names`, made and counted on first use,
-    after the registry starts over if its count has reached the cap."""
+    """The registry's entry for `names`, for the printer: made and counted
+    on first use, after the registry starts over if its count has reached
+    the cap."""
     global _texts_kept
     if _texts_kept >= _MONOMIAL_TEXT_LIMIT:
         _MONOMIAL_TEXTS.clear()
@@ -301,10 +298,10 @@ class LaurentPoly:
     gcd(_den, every numerator) == 1; the zero polynomial is ({}, 1).  Each
     value has one stored form, which `==` and `hash` compare.  Nothing is
     mutated after construction; all operations return fresh values, so
-    sharing across threads is safe.  (The registry of monomial texts in the
-    module docstring does grow, one whole text at a time, and threads that
-    print or parse at once may miscount it, so under threads its cap holds
-    only roughly.)
+    sharing across threads is safe.  (Printing adds to the registry of
+    monomial texts in the module docstring, one whole text at a time, and
+    threads that print at once may miscount it, so under threads its cap
+    holds only roughly.)
 
     The public constructor takes any `int` or `Fraction` coefficients and
     integer exponents, and raises TypeError for anything else, floats
@@ -691,7 +688,7 @@ class LaurentPoly:
                     table[exps] = factors
                     _texts_kept += 1
                     if factors and _texts_kept < _MONOMIAL_TEXT_LIMIT:
-                        back[factors.replace("^-", "^~")] = exps
+                        back[factors] = exps
                         _texts_kept += 1
             if not factors:
                 out.append(decimal(num) + suffix)
@@ -725,7 +722,7 @@ MAX_NESTING = 200
 # taken when k times the bit length of the larger of p and q is over this
 # bound, about 1.26 million decimal digits; a power of 0 or 1 is never
 # refused.  Text such as 10^ followed by a 30-digit exponent would otherwise
-# ask for an integer of ~10^29 digits.
+# ask for an integer of about 10^29 digits.
 MAX_POWER_BITS = 1 << 22
 
 _TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
@@ -884,14 +881,14 @@ def _flat_coefficient(text: str) -> tuple[int, int] | None:
 
 def _flat_power(text: str, names: tuple[str, ...]) -> tuple[int, int] | None:
     """(i, k) for a factor text `name` or `name^k` of the variable names[i],
-    where a '~' in front of the ASCII digits of k stands for its '-', or
-    None for any other text."""
+    where k is ASCII digits with an optional '-', or None for any other
+    text."""
     name, caret, power = text.partition("^")
     if name not in names:
         return None
     k = 1
     if caret:
-        negative = power[:1] == "~"
+        negative = power[:1] == "-"
         k = _ascii_int(power[1:] if negative else power)
         if k is None:
             return None
@@ -902,67 +899,54 @@ def _flat_power(text: str, names: tuple[str, ...]) -> tuple[int, int] | None:
 
 def _parse_flat(text: str, ctx: RingCtx) -> LaurentPoly | None:
     """The polynomial of `text` in the printer's form, read with string
-    splits, or None for any other text.  Never raises.
+    splits, or None for any other text.  Never raises and stores nothing.
 
-    The printer's form is an optional leading '-' and terms joined by '+'
-    and '-'.  A term is a coefficient `p` or `p/q`, or an optional
-    coefficient and '*' followed by '*'-joined factors `name` or `name^k`,
-    where p, q and k are ASCII digits and k may have a '-'.  Whitespace may
-    stand around the signs and at the ends, and nowhere else.  Any other
-    text, whatever it means to the descent (a power of a number, a number
-    after a variable, a '^+', whitespace inside a term), gives None, and
-    the recursive descent reads it and decides it.
-
-    A '-' right after '^' belongs to the exponent: it is marked '~' (a
-    character no accepted text contains) before the text is split into terms
-    on the other signs.  A monomial text that the registry of monomial
-    texts (see the module docstring) knows gives its exponent tuple with
-    one lookup; any other is split into factors on '*', and stored.
+    The printer's form is terms joined by " + " and " - ", the first with
+    an optional '-' right before it.  A term is a coefficient `p` or `p/q`,
+    or an optional coefficient and '*' followed by '*'-joined factors `name`
+    or `name^k`, where p, q and k are ASCII digits and k may have a '-'.
+    Any other text, whatever it means to the descent (other spacing, a
+    power of a number, a number after a variable, a '^+'), gives None, and
+    the recursive descent reads it and decides it.  A monomial text that
+    the printer stored in the registry of monomial texts (see the module
+    docstring) gives the printed exponent tuple with one lookup; any other
+    is split into factors on '*'.
     """
-    global _texts_kept
-    if "(" in text or ")" in text or "~" in text:
-        return None
-    pieces = text.replace("^-", "^~").replace("-", "+-").split("+")
-    if not pieces[0] or pieces[0].isspace():
-        # a sign starts the text: it must be a single '-'
-        if len(pieces) == 1 or pieces[1][:1] != "-":
-            return None
-        del pieces[0]
     names = ctx.names
-    known = _monomial_texts(names).factor_exps
+    entry = _MONOMIAL_TEXTS.get(names)
+    known = entry.factor_exps if entry is not None else {}
     constant = (0,) * len(names)
     terms, dens = [], []
-    for piece in pieces:
-        negate = piece[:1] == "-"
-        piece = (piece[1:] if negate else piece).strip()
-        num = den = 1
-        if piece[:1].isdigit():  # a coefficient, then '*' and a monomial or nothing
-            head, star, piece = piece.partition("*")
-            value = _flat_coefficient(head)
-            if value is None:
-                return None
-            num, den = value
-            if not star:
-                if num:
-                    terms.append((constant, -num if negate else num))
-                    dens.append(den)
-                continue
-        exps = known.get(piece)  # never "", which would accept an empty term
-        if exps is None:
-            vector = list(constant)
-            for factor in piece.split("*"):
-                value = _flat_power(factor, names)
+    minus = text[:1] == "-"  # whether a '-' stands before the next term
+    for chunk in (text[1:] if minus else text).split(" - "):
+        for piece in chunk.split(" + "):
+            negate, minus = minus, False
+            num = den = 1
+            if piece[:1].isdigit():  # a coefficient, then '*' and a monomial or nothing
+                head, star, piece = piece.partition("*")
+                value = _flat_coefficient(head)
                 if value is None:
                     return None
-                i, k = value
-                vector[i] += k
-            exps = tuple(vector)
-            if _texts_kept < _MONOMIAL_TEXT_LIMIT:
-                known[piece] = exps
-                _texts_kept += 1
-        if num:
-            terms.append((exps, -num if negate else num))
-            dens.append(den)
+                num, den = value
+                if not star:
+                    if num:
+                        terms.append((constant, -num if negate else num))
+                        dens.append(den)
+                    continue
+            exps = known.get(piece)  # never "", which would accept an empty term
+            if exps is None:
+                vector = list(constant)
+                for factor in piece.split("*"):
+                    value = _flat_power(factor, names)
+                    if value is None:
+                        return None
+                    i, k = value
+                    vector[i] += k
+                exps = tuple(vector)
+            if num:
+                terms.append((exps, -num if negate else num))
+                dens.append(den)
+        minus = True
     common = lcm(*dens)
     if common != 1:
         terms = [(key, num * (common // den)) for (key, num), den in zip(terms, dens)]
@@ -976,10 +960,8 @@ def parse(text: str, ctx: RingCtx) -> LaurentPoly:
 
     Text in the printer's form (see `_parse_flat`) is read by a fast path
     of string splits first; the recursive descent reads all other text.
-    Both give the same polynomial, and only the descent raises.  The fast
-    path reads each term as an optional coefficient and a monomial text,
-    which it looks up in the registry of monomial texts that the module
-    docstring describes.
+    Both give the same polynomial, only the descent raises, and neither
+    changes any shared state.
 
     Raises ParseError, with line and column, for a syntax error, a non-ASCII
     character, an unknown variable, parentheses nested more than

@@ -166,6 +166,13 @@ class TestKernel:
         assert code == 0
         assert out == "command: kernel --in-B\n(constants only)\n"
 
+    def test_in_B_refuses_a_huge_lambert_degree(self, fibonacci):
+        """slice and kernel --localized answer on the same file; the
+        completion refuses it before it starts."""
+        code, out, err = run_cli("kernel", "--file", fibonacci, "--in-B")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Lambert degree over" in err
+
     def test_localized_huge_weights(self, fibonacci):
         code, out, err = run_cli("kernel", "--file", fibonacci, "--localized")
         assert code == 0 and err == ""
@@ -371,6 +378,26 @@ def test_import_leaves_numpy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "False\n"
+
+
+def test_module_runs_as_a_script(coprime, tmp_path):
+    """`python -m ssderiv.cli` in a fresh interpreter exits with main's code."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ssderiv.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    result = run("kernel", "--in-B", "--file", coprime)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "command: kernel --in-B\nx^3*y^2\n", ""
+    )
+    result = run("kernel", "--in-B", "--file", str(tmp_path / "missing.txt"))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error:")
 
 
 class TestProblemFile:

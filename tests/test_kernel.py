@@ -26,10 +26,12 @@ from ssderiv import (
     slice_coordinates,
     weight_zero_exponents,
 )
-from ssderiv.kernel import _hilbert_completion
+import ssderiv.kernel as kernel
+from ssderiv.kernel import MAX_LAMBERT_DEGREE, _hilbert_completion
 
 from helpers import (
     CTX_XY,
+    fibonacci_pair,
     minimal_nonzero,
     random_poly,
     random_weights,
@@ -392,3 +394,33 @@ class TestExactForLargeWeights:
         assert hilbert_basis((2**62, 2**62)).gens == ()
         assert hilbert_basis((2**63, -(2**63))).gens == ((1, 1),)
         assert hilbert_basis((3 * 2**70, -(2**71), 0)).gens == ((0, 0, 1), (2, 3, 0))
+
+    def test_oracle_steps_through_the_solutions_of_two_opposite_weights(self):
+        """Two weights of opposite signs: one step per solution, so a degree
+        of 4*10^9 with two solutions returns at once, in a fresh interpreter
+        that the timeout can stop."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = (
+            "from ssderiv import weight_zero_exponents\n"
+            "print(weight_zero_exponents((10**9 + 1, -10**9), 4 * 10**9))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{[(0, 0), (10**9, 10**9 + 1)]}\n"
+
+    def test_completion_refuses_a_huge_lambert_degree_before_it_starts(self, monkeypatch):
+        """The bound applies to the weights divided by their gcd, and a
+        refusal never reaches the completion."""
+        reached = []
+        monkeypatch.setattr(kernel, "_hilbert_completion", reached.append)
+        top = MAX_LAMBERT_DEGREE
+        hilbert_basis((1, 1 - top))  # at the bound
+        hilbert_basis((3, 3 - 3 * top))  # over it, but at it after the gcd
+        f, g = fibonacci_pair(1601)
+        for ws in [(1, -top), (2, 3, -top), (f, -g)]:
+            with pytest.raises(ValueError, match="Lambert degree over"):
+                hilbert_basis(ws)
+        assert reached == [(1, 1 - top), (1, 1 - top)]
