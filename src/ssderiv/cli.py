@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 invalid input, 1 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
@@ -39,6 +38,18 @@ from .slices import build_slice
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
+
+# kernel --brute D refuses D when more than this many exponent vectors have
+# total degree <= D, which is C(n + D, n) in n variables.  The worst case at
+# the bound has every weight zero and lists every vector: one variable at
+# D = 999,999 took 6.4 s and 270 MB, two at D = 1412 took 5.0 s and 195 MB
+# (2-vCPU Xeon VM, CPython 3.11).
+MAX_BRUTE_VECTORS = 10**6
+
+# check locfin refuses an iteration bound over this.  On images (x^2*y, y^2)
+# bound 500 took 1.7 s and 119 MB, and bound 1000 took 17 s (same VM).  It
+# bounds the number of iterates, not their size.
+MAX_PROBE_BOUND = 500
 
 _LIST_KEYS = ("images", "phi", "psi", "query")
 
@@ -64,21 +75,6 @@ class Problem(NamedTuple):
         if self.images is None:
             return None
         return GeneralDerivation(self.ctx, self.images)
-
-
-class Report:
-    """Deterministic command output: echo line, result lines, warnings."""
-
-    def __init__(self, command: str, lines: list[str] | None = None):
-        self.command = command
-        self.lines = [] if lines is None else lines
-        self.warnings: list[str] = []
-
-    def render(self) -> str:
-        parts = [f"command: {self.command}"]
-        parts.extend(self.lines)
-        parts.extend(f"warning: {w}" for w in self.warnings)
-        return "\n".join(parts) + "\n"
 
 
 def load_problem(path: str) -> Problem:
@@ -158,64 +154,62 @@ def _query_expr(problem: Problem, expr: str | None, what: str) -> LaurentPoly:
     raise InputError(f"{what}: give --expr or a 'query:' line")
 
 
-def cmd_decompose(problem: Problem, expr: str | None) -> Report:
-    p = _query_expr(problem, expr, "decompose")
-    report = Report(command=f"decompose {p}")
-    decomposition = problem.diagonal.weight_decompose(p)
-    if not decomposition.components:
-        report.lines.append("(zero polynomial)")
-    else:
-        report.lines.extend(
-            f"{int_to_decimal(w)}: {c}" for w, c in decomposition.components.items()
-        )
-    return report
+def cmd_decompose(problem: Problem, args: argparse.Namespace) -> list[str]:
+    p = _query_expr(problem, args.expr, "decompose")
+    lines = [f"command: decompose {p}"]
+    components = problem.diagonal.weight_decompose(p).components
+    lines += [f"{int_to_decimal(w)}: {c}" for w, c in components.items()] or ["(zero polynomial)"]
+    return lines
 
 
-def cmd_slice(problem: Problem) -> Report:
+def cmd_slice(problem: Problem, args: argparse.Namespace) -> list[str]:
     data = build_slice(problem.diagonal)
-    report = Report(command="slice")
     g = int_to_decimal(data.g)
-    report.lines.append(f"g: {g}")
-    report.lines.append("m: " + " ".join(map(int_to_decimal, data.m)))
-    report.lines.append(f"s: {data.s}")
-    report.lines.append(f"f: {data.f}")
-    report.lines.append("D(s) = s" if data.g == 1 else f"D(s) = {g}*s")
+    lines = ["command: slice", f"g: {g}", "m: " + " ".join(map(int_to_decimal, data.m))]
+    lines += [f"s: {data.s}", f"f: {data.f}", "D(s) = s" if data.g == 1 else f"D(s) = {g}*s"]
     if data.warning:
-        report.warnings.append(data.warning)
-    return report
+        lines.append(f"warning: {data.warning}")
+    return lines
 
 
-def _parse_uvars(uvars: str | None) -> list[str] | None:
-    if uvars is None:
-        return None
-    return [name for name in re.split(r"[,\s]+", uvars.strip()) if name]
+def _brute_vectors(n: int, degree: int) -> int:
+    """C(n + degree, n), the number of exponent vectors of total degree <=
+    degree in n variables, or the first partial product C(big + k, k) over
+    MAX_BRUTE_VECTORS, so that a huge degree costs one step."""
+    big, small = max(n, degree), min(n, degree)
+    count = 1
+    for k in range(1, small + 1):
+        count = count * (big + k) // k
+        if count > MAX_BRUTE_VECTORS:
+            break
+    return count
 
 
-def cmd_kernel_localized(problem: Problem, uvars: str | None) -> Report:
+def cmd_kernel(problem: Problem, args: argparse.Namespace) -> list[str]:
     d = problem.diagonal
-    data = build_slice(d)
-    if data.g != 1:
-        raise InputError(
-            f"no slice exists: gcd of weights is {int_to_decimal(data.g)},"
-            " localized kernel needs D(s) = s"
-        )
-    generators = kernel_generators_localized(d, data.s, _parse_uvars(uvars))
-    report = Report(command="kernel --localized")
-    report.lines.append(f"s: {data.s}")
-    for name, u in zip(generators.uctx.names, generators.u):
-        report.lines.append(f"{name} = {u}")
-    return report
-
-
-def cmd_kernel_in_b(problem: Problem) -> Report:
-    lines = [str(g) for g in kernel_in_B(problem.diagonal)] or ["(constants only)"]
-    return Report(command="kernel --in-B", lines=lines)
-
-
-def cmd_kernel_brute(problem: Problem, degree: int) -> Report:
-    exponents = brute_force_kernel(problem.diagonal, degree)
-    lines = [str(LaurentPoly.monomial(problem.ctx, exps)) for exps in exponents]
-    return Report(command=f"kernel --brute {degree}", lines=lines)
+    if args.brute is not None:
+        if _brute_vectors(problem.ctx.n, args.brute) > MAX_BRUTE_VECTORS:
+            raise InputError(f"--brute D: over {MAX_BRUTE_VECTORS} exponent vectors of degree <= D")
+        exponents = brute_force_kernel(d, args.brute)
+        return [
+            f"command: kernel --brute {args.brute}",
+            *(str(LaurentPoly.monomial(problem.ctx, exps)) for exps in exponents),
+        ]
+    if args.localized:
+        data = build_slice(d)
+        if data.g != 1:
+            raise InputError(
+                f"no slice exists: gcd of weights is {int_to_decimal(data.g)},"
+                " localized kernel needs D(s) = s"
+            )
+        unames = None if args.uvars is None else args.uvars.replace(",", " ").split()
+        generators = kernel_generators_localized(d, data.s, unames)
+        return [
+            "command: kernel --localized",
+            f"s: {data.s}",
+            *(f"{name} = {u}" for name, u in zip(generators.uctx.names, generators.u)),
+        ]
+    return ["command: kernel --in-B", *([str(g) for g in kernel_in_B(d)] or ["(constants only)"])]
 
 
 def _leibniz_samples(problem: Problem) -> list[LaurentPoly]:
@@ -225,8 +219,8 @@ def _leibniz_samples(problem: Problem) -> list[LaurentPoly]:
     return variables + [LaurentPoly.sum(problem.ctx, variables)]
 
 
-def cmd_check_leibniz(problem: Problem) -> Report:
-    report = Report(command="check leibniz")
+def cmd_check_leibniz(problem: Problem, args: argparse.Namespace) -> list[str]:
+    lines = ["command: check leibniz"]
     samples = _leibniz_samples(problem)
     derivations: list[tuple[str, DiagonalDerivation | GeneralDerivation]] = [
         ("diagonal", problem.diagonal)
@@ -238,56 +232,69 @@ def cmd_check_leibniz(problem: Problem) -> Report:
         for p, q in pairs:
             if d.apply(p * q) != d.apply(p) * q + p * d.apply(q):
                 raise RuntimeError(f"Leibniz rule failed for the {label} derivation")
-        report.lines.append(f"leibniz {label}: PASS ({len(pairs)} pairs)")
-    return report
+        lines.append(f"leibniz {label}: PASS ({len(pairs)} pairs)")
+    return lines
 
 
-def cmd_check_conjugate(problem: Problem) -> Report:
+def cmd_check_conjugate(problem: Problem, args: argparse.Namespace) -> list[str]:
     if problem.phi is None or problem.psi is None:
         raise InputError("check conjugate: problem file needs 'phi:' and 'psi:' lines")
     d = problem.diagonal
     transported = conjugate(d, problem.phi, problem.psi)
-    report = Report(command="check conjugate")
-    for name, image in zip(problem.ctx.names, transported.images):
-        report.lines.append(f"D'({name}) = {image}")
+    lines = ["command: check conjugate"]
+    lines += [f"D'({name}) = {image}" for name, image in zip(problem.ctx.names, transported.images)]
     for w, image in zip(d.weights, problem.phi):
         if transported.apply(image) != image * w:
             raise RuntimeError("eigenvector check failed")
-    report.lines.append("eigenvector check PASS")
-    return report
+    lines.append("eigenvector check PASS")
+    return lines
 
 
-def cmd_check_aD(problem: Problem, expr: str | None) -> Report:
-    a = _query_expr(problem, expr, "check aD")
-    report = Report(command="check aD")
+def cmd_check_aD(problem: Problem, args: argparse.Namespace) -> list[str]:
+    a = _query_expr(problem, args.expr, "check aD")
     if scalar_multiple_semisimple(a, problem.diagonal):
-        report.lines.append("aD semisimple: YES (a constant)")
-    else:
-        report.lines.append("aD semisimple: NO (a not constant)")
-    return report
+        return ["command: check aD", "aD semisimple: YES (a constant)"]
+    return ["command: check aD", "aD semisimple: NO (a not constant)"]
 
 
-def cmd_check_locfin(problem: Problem, bound: int | None) -> Report:
+def cmd_check_locfin(problem: Problem, args: argparse.Namespace) -> list[str]:
+    bound = args.bound
     if bound is None:
         raise InputError("check locfin: a positive iteration bound is required")
     if problem.general is None:
         raise InputError("check locfin: problem file needs 'images:' lines")
+    if bound > MAX_PROBE_BOUND:
+        raise InputError(f"check locfin: the iteration bound is over {MAX_PROBE_BOUND}")
     verdict = local_finiteness_probe(problem.general, bound)
-    report = Report(command=f"check locfin {bound}")
+    lines = [f"command: check locfin {bound}"]
     if isinstance(verdict, LocallyFinite):
         dims = " ".join(str(d) for d in verdict.span_dims)
-        report.lines.append(f"locally finite: span dims {dims}")
+        lines.append(f"locally finite: span dims {dims}")
         for name, span in zip(problem.ctx.names, verdict.spans):
             rendered = ", ".join(str(p) for p in span)
-            report.lines.append(f"span({name}): {rendered}")
+            lines.append(f"span({name}): {rendered}")
     elif isinstance(verdict, NotLocallyFinite):
         chain = " -> ".join(str(p) for p in verdict.chain)
-        report.lines.append(f"NOT locally finite: witness {chain}")
+        lines.append(f"NOT locally finite: witness {chain}")
     elif isinstance(verdict, Inconclusive):
-        report.lines.append(f"inconclusive at bound {verdict.bound}")
+        lines.append(f"inconclusive at bound {verdict.bound}")
     else:
         raise RuntimeError(f"unknown finiteness verdict {verdict!r}")
-    return report
+    return lines
+
+
+_LAWS = {
+    "leibniz": cmd_check_leibniz,
+    "conjugate": cmd_check_conjugate,
+    "aD": cmd_check_aD,
+    "locfin": cmd_check_locfin,
+}
+
+
+def cmd_check(problem: Problem, args: argparse.Namespace) -> list[str]:
+    if args.law != "locfin" and args.bound is not None:
+        raise InputError(f"check {args.law} takes no bound argument")
+    return _LAWS[args.law](problem, args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -298,54 +305,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_dec = sub.add_parser("decompose", help="print the weight decomposition of an expression")
+    p_dec.set_defaults(run=cmd_decompose)
     p_dec.add_argument("--file", required=True)
     p_dec.add_argument("--expr")
 
     p_slice = sub.add_parser("slice", help="build the Bezout slice monomial")
+    p_slice.set_defaults(run=cmd_slice)
     p_slice.add_argument("--file", required=True)
 
     p_ker = sub.add_parser("kernel", help="kernel generators in various settings")
+    p_ker.set_defaults(run=cmd_kernel)
     p_ker.add_argument("--file", required=True)
     p_ker.add_argument("--uvars", help="names for the kernel variables u1..un")
     group = p_ker.add_mutually_exclusive_group()
     group.add_argument("--localized", action="store_true")
     group.add_argument("--in-B", dest="in_b", action="store_true")
-    group.add_argument("--brute", type=int, metavar="D")
+    group.add_argument("--brute", metavar="D")
 
     p_chk = sub.add_parser("check", help="verify a law and print PASS/FAIL")
-    p_chk.add_argument("law", choices=["leibniz", "conjugate", "aD", "locfin"])
-    p_chk.add_argument("bound", nargs="?", type=int)
+    p_chk.set_defaults(run=cmd_check)
+    p_chk.add_argument("law", choices=_LAWS)
+    p_chk.add_argument("bound", nargs="?")
     p_chk.add_argument("--file", required=True)
     p_chk.add_argument("--expr")
 
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> Report:
-    if args.cmd == "kernel" and args.uvars is not None and not args.localized:
-        raise InputError("--uvars applies only to --localized")
-    problem = load_problem(args.file)
-    if args.cmd == "decompose":
-        return cmd_decompose(problem, args.expr)
-    if args.cmd == "slice":
-        return cmd_slice(problem)
-    if args.cmd == "kernel":
-        if args.brute is not None:
-            return cmd_kernel_brute(problem, args.brute)
-        if args.localized:
-            return cmd_kernel_localized(problem, args.uvars)
-        return cmd_kernel_in_b(problem)
-    if args.cmd == "check":
-        if args.law == "locfin":
-            return cmd_check_locfin(problem, args.bound)
-        if args.bound is not None:
-            raise InputError(f"check {args.law} takes no bound argument")
-        if args.law == "leibniz":
-            return cmd_check_leibniz(problem)
-        if args.law == "conjugate":
-            return cmd_check_conjugate(problem)
-        return cmd_check_aD(problem, args.expr)
-    raise AssertionError(f"unknown command {args.cmd!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -355,14 +339,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(value, list):  # argparse before 3.13 reads "--opt=--" as []
             parser.error(f"argument --{name}: expected one argument")
     try:
-        report = _dispatch(args)
+        if args.cmd == "kernel" and args.uvars is not None and not args.localized:
+            raise InputError("--uvars applies only to --localized")
+        # the integers a command takes, read as text, like the weights of a file
+        for name, what in (("brute", "--brute"), ("bound", "the bound")):
+            text = vars(args).get(name)
+            if text is not None:
+                try:
+                    setattr(args, name, decimal_to_int(text))
+                except ValueError:
+                    raise InputError(f"{what}: expected an integer, got {text!r}") from None
+        lines = args.run(load_problem(args.file), args)
     except ValueError as exc:  # InputError and ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything else is a broken internal invariant
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(report.render())
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

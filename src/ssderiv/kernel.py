@@ -184,9 +184,16 @@ def lambert_degree(weights: Sequence[int]) -> int:
 # 9 MB (2-vCPU VM, CPython 3.11), while two consecutive 335-digit Fibonacci
 # numbers (L ~ 10^335) would never finish and fill memory on the way.  The
 # bound only stops degrees no completion could reach: with more weights the
-# cost grows faster with L (three weights at L = 5*10^3 took 3-5 s and
-# 160-320 MB on the same VM).
+# cost grows faster with L, and MAX_COMPLETION_VECTORS bounds that.
 MAX_LAMBERT_DEGREE = 10**5
+
+# The completion raises ValueError once it has generated more than this many
+# distinct vectors, a count it checks at the start of each level.  Two
+# weights at the Lambert bound generate about L = 10^5.  Three weights
+# generate about L^2/6: (1, 3, -2000) generated 673,004 in 0.9 s and 107 MB,
+# and (1, 3, -5000) 4,182,504 in 6.2 s and 368 MB (2-vCPU Xeon VM,
+# CPython 3.11).
+MAX_COMPLETION_VECTORS = 10**6
 
 
 def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
@@ -241,15 +248,14 @@ def hilbert_basis(weights: Sequence[int]) -> HilbertBasis:
 
     The weights are first divided by their gcd, which leaves the basis as
     it is, and ValueError is raised, before any completion, when the
-    Lambert degree of the result is over MAX_LAMBERT_DEGREE.  The last few
+    Lambert degree of the result is over MAX_LAMBERT_DEGREE, and during it
+    once it has generated over MAX_COMPLETION_VECTORS vectors.  The last few
     results are cached, keyed by those weights as ints, so kernel_in_B, or
     any caller that asks again for weights it just passed, gets the same
     frozen result without a second completion.  Invalid weights are
     rejected before the cache and raise on every call.
     """
     ws = tuple(map(index, weights))
-    if not ws:
-        raise ValueError("empty weight vector")
     g = gcd(*ws)
     if g > 1:
         ws = tuple([w // g for w in ws])
@@ -283,6 +289,11 @@ def _hilbert_completion(ws: tuple[int, ...]) -> HilbertBasis:
     level = list(zip(units, ws))
     seen = {v for v, _ in level}
     while level:
+        if len(seen) > MAX_COMPLETION_VECTORS:
+            raise ValueError(
+                f"the Hilbert basis completion generated over {MAX_COMPLETION_VECTORS}"
+                " vectors, too many for these weights"
+            )
         for b in sorted(v for v, w in level if w == 0):
             basis.append(b)
             for mask, entries in zip(masks, by_entry):

@@ -3,12 +3,15 @@ byte-identical across runs on identical input."""
 
 import io
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ssderiv.cli import main
 from ssderiv.numtheory import decimal_to_int, int_to_decimal
@@ -225,6 +228,43 @@ class TestKernel:
         assert code == 0 and err == ""
         assert out == f"command: kernel --brute {degree}\n1\n{kernel}"
 
+    def test_brute_echoes_the_integer(self, coprime):
+        code, out, err = run_cli("kernel", "--file", coprime, "--brute", "05")
+        assert (code, out, err) == (0, "command: kernel --brute 5\n1\nx^3*y^2\n", "")
+
+    @pytest.mark.parametrize(
+        "degree",
+        ["x", "5.0", "", "1e3", "9" * 5000 + "x"],
+        ids=["letter", "decimal-point", "empty", "exponent", "5000-digits-then-letter"],
+    )
+    def test_brute_non_integer_is_one_error_line(self, coprime, degree):
+        code, out, err = run_cli("kernel", "--file", coprime, "--brute", degree)
+        assert (code, out) == (2, "")
+        assert err == f"error: --brute: expected an integer, got {degree!r}\n"
+
+    @pytest.mark.parametrize("degree", ["1000000000000", "9" * 5000], ids=["10^12", "5000-digits"])
+    def test_brute_refuses_a_huge_degree_by_budget(self, coprime, degree, monkeypatch):
+        """A 5000-digit D is a valid integer that the budget refuses, never
+        reaching the oracle."""
+        import ssderiv.cli as cli_module
+
+        reached = []
+        monkeypatch.setattr(cli_module, "brute_force_kernel", lambda d, D: reached.append(D))
+        code, out, err = run_cli("kernel", "--file", coprime, "--brute", degree)
+        assert (code, out, reached) == (2, "", [])
+        assert err == "error: --brute D: over 1000000 exponent vectors of degree <= D\n"
+
+    def test_brute_budget_counts_the_exponent_vectors(self, tmp_path, monkeypatch):
+        """C(n + D, n) vectors have degree <= D: 10 for n = 3, D = 2."""
+        import ssderiv.cli as cli_module
+
+        path = problem(tmp_path, "vars: x y z\nweights: 0 0 0\n")
+        monkeypatch.setattr(cli_module, "MAX_BRUTE_VECTORS", 10)
+        code, out, err = run_cli("kernel", "--file", path, "--brute", "2")
+        assert (code, err) == (0, "") and len(out.splitlines()) == 1 + 10
+        code, out, err = run_cli("kernel", "--file", path, "--brute", "3")
+        assert (code, out) == (2, "") and "over 10 exponent vectors" in err
+
     @pytest.mark.parametrize(
         "mode", [("--in-B",), ("--brute", "3"), ()], ids=["in-B", "brute", "default"]
     )
@@ -293,6 +333,22 @@ class TestCheck:
         assert code == 2 and "bound" in err
         code, _, err = run_cli("check", "locfin", "4", "--file", coprime)
         assert code == 2 and "images" in err
+
+    @pytest.mark.parametrize("law", ["locfin", "leibniz"])
+    def test_non_integer_bound_is_one_error_line(self, hyperbolic, law):
+        code, out, err = run_cli("check", law, "four", "--file", hyperbolic)
+        assert (code, out) == (2, "")
+        assert err == "error: the bound: expected an integer, got 'four'\n"
+
+    @pytest.mark.parametrize("bound", ["501", "9" * 5000], ids=["501", "5000-digits"])
+    def test_locfin_refuses_a_bound_over_the_budget(self, hyperbolic, bound, monkeypatch):
+        import ssderiv.cli as cli_module
+
+        reached = []
+        monkeypatch.setattr(cli_module, "local_finiteness_probe", lambda d, b: reached.append(b))
+        code, out, err = run_cli("check", "locfin", bound, "--file", hyperbolic)
+        assert (code, out, reached) == (2, "", [])
+        assert err == "error: check locfin: the iteration bound is over 500\n"
 
     @pytest.mark.parametrize("law", ["leibniz", "conjugate", "aD"])
     def test_bound_only_for_locfin(self, hyperbolic, law):
@@ -400,6 +456,41 @@ def test_module_runs_as_a_script(coprime, tmp_path):
     assert result.stderr.startswith("error:")
 
 
+def run_module_with_one_gib(*argv, timeout):
+    """`python -m ssderiv.cli` in a fresh interpreter whose address space is
+    capped at 1 GiB, so an unbounded computation fails fast instead of
+    filling the machine's memory."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "ssderiv.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_brute_with_a_huge_degree_exits_two_at_once(coprime):
+    argv = ("kernel", "--brute", "100000000000", "--file", coprime)
+    result = run_module_with_one_gib(*argv, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: --brute D: over 1000000 exponent vectors of degree <= D\n"
+
+
+def test_in_B_with_three_weights_out_of_reach_exits_two(tmp_path):
+    """The Lambert degree 50,003 is under kernel.MAX_LAMBERT_DEGREE; the
+    completion's vector budget refuses it."""
+    path = problem(tmp_path, "vars: x y z\nweights: 1 3 -50000\n")
+    result = run_module_with_one_gib("kernel", "--in-B", "--file", path, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: the Hilbert basis completion generated over ")
+
+
 class TestProblemFile:
     def test_missing_file(self):
         code, _, err = run_cli("slice", "--file", "/nonexistent/problem.txt")
@@ -449,3 +540,84 @@ class TestProblemFile:
         path = problem(tmp_path, "# a fixture\n\nvars: x y\nweights: 1 -1\n")
         code, _, _ = run_cli("slice", "--file", path)
         assert code == 0
+
+
+# -- exit-code contract: every problem file and argv exit with 0 or 2
+
+FILE = object()  # stands for the drawn problem file's path in an argv
+EXPRS = ["x", "y^-2", "x*y + 3/2", "(x + y)^3", "x^2*y - y^2", "0", "2*x*y^2", "x*y^-1 - 1/3*y"]
+BAD_EXPRS = ["x^", "zz + 1", "(x + 1)^-1", ")"]
+NUMBERS = ["0", "1", "3", "05", "-1", "six", "", "501", "9" * 5000]
+COMMANDS = [
+    ["decompose"], ["slice"], ["kernel"], ["kernel", "--localized"], ["kernel", "--in-B"],
+    ["kernel", "--brute", "3"], ["check", "leibniz"], ["check", "conjugate"], ["check", "aD"],
+    ["check", "locfin", "3"],
+]
+FLAGS = [["--expr"], ["--uvars", "a b c"], ["--uvars", "a,b"], ["--in-B"], ["--bogus"],
+         ["--brute"], ["--expr=--"], ["check"], ["7"]]
+PHI_PSI = [("x", "y + x^2", "x", "y - x^2"), ("y", "x", "y", "x"), ("x", "y", "x", "y^2")]
+
+
+def rarely(draw, common, rare):
+    """Mostly a draw from common, one time in eight from rare."""
+    return draw(st.sampled_from(rare if draw(st.sampled_from([False] * 7 + [True])) else common))
+
+
+@st.composite
+def problem_texts(draw):
+    """Small problem files over x, y (and z), valid with a few flaws."""
+    names = rarely(draw, ["x y", "x y z"], ["x", "x x", "", "1x y"])
+    n = len(names.split())
+    weights = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    weights = rarely(draw, [" ".join(map(str, weights))], ["1 x", "2"])
+    lines = [f"vars: {names}", f"weights: {weights}"]
+    if draw(st.booleans()):
+        lines += [f"images: {draw(st.sampled_from(EXPRS))}" for _ in range(n)]
+    if draw(st.booleans()):
+        phi_psi = draw(st.sampled_from(PHI_PSI))
+        lines += [f"phi: {e}" for e in phi_psi[:2] + ("z",) * (n - 2)]
+        lines += [f"psi: {e}" for e in phi_psi[2:] + ("z",) * (n - 2)]
+    lines += [f"query: {e}" for e in draw(st.lists(st.sampled_from(EXPRS), max_size=2))]
+    lines += [rarely(draw, ["# note"], ["color: blue", "no colon", "images: x^", "query: )"])]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def argvs(draw):
+    """The nine command forms, with the odd bad number or flag."""
+    argv = list(draw(st.sampled_from(COMMANDS)))
+    if argv[-1] == "3":
+        argv[-1] = rarely(draw, ["3"], NUMBERS)
+    if draw(st.booleans()) and argv[-1] in ("decompose", "aD"):
+        argv += ["--expr", rarely(draw, EXPRS, BAD_EXPRS)]
+    flag = rarely(draw, [None], FLAGS)
+    if flag is not None:
+        argv += flag
+        if flag in (["--expr"], ["--brute"]):
+            argv.append(draw(st.sampled_from(NUMBERS + EXPRS)))
+    if rarely(draw, [True], [False]):
+        argv += ["--file", FILE]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def contract_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "problem.txt"
+
+
+@given(text=problem_texts(), argv=argvs())
+def test_exit_code_contract(contract_file, text, argv):
+    """Exit 2 prints nothing on stdout and no internal error; exit 0 prints
+    nothing on stderr; user input never exits 1."""
+    contract_file.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([str(contract_file) if arg is FILE else arg for arg in argv])
+        except SystemExit as exc:  # argparse rejects bad flags this way
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and "internal error" not in err.getvalue()
+    else:
+        assert err.getvalue() == ""

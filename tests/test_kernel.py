@@ -424,3 +424,15 @@ class TestExactForLargeWeights:
             with pytest.raises(ValueError, match="Lambert degree over"):
                 hilbert_basis(ws)
         assert reached == [(1, 1 - top), (1, 1 - top)]
+
+    def test_completion_refuses_too_many_vectors(self, monkeypatch):
+        """The vector budget is read on every completion.  (5, 7, -23)
+        generates 180 vectors; a cached result would skip the check, so the
+        weights are ones no other test computes."""
+        ws = (5, 7, -23)
+        monkeypatch.setattr(kernel, "MAX_COMPLETION_VECTORS", 179)
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ValueError, match="generated over 179 vectors"):
+                hilbert_basis(ws)
+        monkeypatch.setattr(kernel, "MAX_COMPLETION_VECTORS", 180)
+        assert hilbert_basis(ws).gens == reference_hilbert_basis(ws)
